@@ -21,7 +21,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptyFamily,
@@ -135,16 +136,31 @@ def leq_witness(F: StepCdf, G: StepCdf, tol: float = TOL) -> float | None:
 
     Both functions are constant between consecutive union breakpoints, and the
     left-continuous read at each breakpoint returns the value of the interval
-    ending there; one extra probe past the last breakpoint covers the final
-    interval.
+    ending there, so one merged walk over both jump lists visits every
+    interval.  One extra probe past the last breakpoint covers the final
+    interval; above 2**53, where ``last + 1.0 == last``, it is the next float.
     """
-    cands = sorted(set(F._ts) | set(G._ts))
-    for c in cands:
-        if evaluate(F, c) > evaluate(G, c) + tol:
+    a = F.breaks + ((INF, 0.0),)  # sentinels end the walk
+    b = G.breaks + ((INF, 0.0),)
+    i = j = 0
+    fv = gv = 0.0  # values on the interval ending at the next breakpoint
+    while True:
+        ta, tb = a[i][0], b[j][0]
+        c = ta if ta <= tb else tb
+        if c == INF:
+            break
+        if fv > gv + tol:
             return c
-    probe = cands[-1] + 1.0 if cands else 1.0
-    if evaluate(F, probe) > evaluate(G, probe) + tol:
-        return probe
+        if ta == c:
+            fv = a[i][1]
+            i += 1
+        if tb == c:
+            gv = b[j][1]
+            j += 1
+    if fv > gv + tol:
+        last = max(a[-2][0] if i else 0.0, b[-2][0] if j else 0.0)
+        probe = last + 1.0
+        return probe if probe > last else math.nextafter(last, INF)
     return None
 
 
@@ -160,40 +176,29 @@ def approx_equal(F: StepCdf, G: StepCdf, tol: float = TOL) -> bool:
     )
 
 
-def _cluster(cands: Sequence[float]) -> list[tuple[float, float]]:
-    """Group sorted candidate breakpoints within TOL of each other into
-    (first, last) clusters; each cluster is one canonical breakpoint."""
-    clusters: list[tuple[float, float]] = []
-    for c in cands:
-        if clusters and c - clusters[-1][1] <= TOL:
-            clusters[-1] = (clusters[-1][0], c)
-        else:
-            clusters.append((c, c))
-    return clusters
+def _envelope(events: Iterable[tuple[float, float]]) -> StepCdf:
+    """Running upper envelope of ``(t, v)`` jump events sorted by ``t``.
 
-
-def _from_interval_values(cands: Sequence[float], value_at: Callable[[float], float]) -> StepCdf:
-    """Build a canonical StepCdf from candidate breakpoints and an exact
-    interval-value reader.
-
-    ``cands`` must be sorted with exact-duplicate floats removed.  ``value_at``
-    is a left-continuous evaluator of the target function; since the target is
-    constant strictly between candidates, reading it at the first member of
-    the next candidate cluster (and one unit past the last) recovers all
-    interval values exactly.  Candidates within TOL collapse to one
-    breakpoint, and only increments above TOL become jumps, which
+    The target function jumps to at least ``v`` just after ``t``, so its
+    value right of a breakpoint is the maximum ``v`` seen so far.  Events
+    chaining within TOL of each other are one canonical breakpoint, placed
+    at the first of them, and only increments above TOL become jumps, which
     canonicalizes away float noise.
     """
-    clusters = _cluster(cands)
     breaks: list[tuple[float, float]] = []
-    prev = 0.0
-    last = len(clusters) - 1
-    for k, (first, last_member) in enumerate(clusters):
-        probe = clusters[k + 1][0] if k < last else last_member + 1.0
-        v = value_at(probe)
-        if v > prev + TOL:
-            breaks.append((first, min(v, 1.0)))
-            prev = v
+    prev = best = 0.0
+    first = last = -INF
+    for t, v in events:
+        if t - last > TOL:
+            if best > prev + TOL:
+                breaks.append((first, min(best, 1.0)))
+                prev = best
+            first = t
+        last = t
+        if v > best:
+            best = v
+    if best > prev + TOL:
+        breaks.append((first, min(best, 1.0)))
     return StepCdf(tuple(breaks))
 
 
@@ -204,14 +209,7 @@ def pointwise_sup(family: Iterable[StepCdf]) -> StepCdf:
         raise EmptyFamily("pointwise_sup needs at least one function")
     if len(fams) == 1:
         return fams[0]
-    cands = sorted({t for F in fams for t in F._ts})
-    if not cands:
-        return HINF
-
-    def value_at(t: float) -> float:
-        return max(evaluate(F, t) for F in fams)
-
-    return _from_interval_values(cands, value_at)
+    return _envelope(sorted([jump for F in fams for jump in F.breaks], key=itemgetter(0)))
 
 
 def quantize(F: StepCdf, delta: float) -> StepCdf:
@@ -225,25 +223,17 @@ def quantize(F: StepCdf, delta: float) -> StepCdf:
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must lie in (0, 1], got {delta}")
-    if not F.breaks:
-        return F
     kmax = int(math.floor(1.0 / (delta * delta) + 1e-9))
-    cells: dict[int, float] = {}
-    for t, v in F.breaks:
-        k = math.ceil(t / delta - 1e-9)
-        if k > kmax:
-            break
-        # +TOL absorbs float dirt when v is already a grid multiple
-        q = min(math.floor((v + TOL) / delta) * delta, 1.0)
-        cells[k] = q  # later breaks in the same cell overwrite: right limit
-    breaks: list[tuple[float, float]] = []
-    prev = 0.0
-    for k in sorted(cells):
-        q = cells[k]
-        if q > prev + TOL:
-            breaks.append((k * delta, q))
-            prev = q
-    return StepCdf(tuple(breaks))
+
+    def cells():
+        for t, v in F.breaks:
+            k = math.ceil(t / delta - 1e-9)
+            if k > kmax:
+                return
+            # +TOL absorbs float dirt when v is already a grid multiple
+            yield k * delta, min(math.floor((v + TOL) / delta) * delta, 1.0)
+
+    return _envelope(cells())
 
 
 def random_step_cdf(rng: random.Random, max_breaks: int = 4, grid: bool = True) -> StepCdf:

@@ -12,16 +12,16 @@ exactly.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cdf import (
     H0,
-    HINF,
+    INF,
     TOL,
     StepCdf,
-    _cluster,
+    _envelope,
     approx_equal,
     leq,
     pointwise_sup,
@@ -145,33 +145,24 @@ def sup_convolution(T: TNorm, F: StepCdf, L: StepCdf) -> StepCdf:
     """Exact sup-convolution of two step functions under a left-continuous
     t-norm.
 
-    On the interval (a_i, a_{i+1}] the left factor is constant, so the
-    supremum over splittings s+u=t reduces by monotonicity and
-    left-continuity to ``max_i T(v_i, L(t - a_i))`` over F's jumps
-    (a_i, v_i), and the result's jumps lie among pairwise sums of input
-    jumps.  Interval values are read by counting sums ``a_i + b_m`` at or
-    below each candidate, never by subtracting coordinates: re-deriving
-    ``t - a_i`` in floating point can round across a jump of L and poison a
-    whole interval.
+    Every pair of jumps (a_i, v_i) of F and (b_m, w_m) of L forces the
+    result up to ``T(v_i, w_m)`` just after ``a_i + b_m``; by monotonicity
+    and left-continuity of T nothing else contributes, so the result is the
+    running maximum of these m^2 events swept in order of their sums.  The
+    rows ``a_i + b_*`` are already sorted, so the sort merges them in
+    m^2 log m.  Events are placed at the float sums themselves, never by
+    subtracting coordinates: re-deriving ``t - a_i`` in floating point can
+    round across a jump of L and poison a whole interval.  Sums chaining
+    within TOL are one breakpoint, so summation order never decides whether
+    two near-tied sums become one jump or two.  A sum that overflows to +inf
+    lies beyond every float and is never reached.
     """
-    if not F.breaks or not L.breaks:
-        return HINF
     fn = T.fn
-    sums = [tuple(a + b for b in L._ts) for a in F._ts]
-    # candidates within TOL are one breakpoint: summation order must not
-    # decide whether two near-tied sums become one jump or two
-    clusters = _cluster(sorted({s for row in sums for s in row}))
-    lvs = (0.0,) + L._vs
-    breaks: list[tuple[float, float]] = []
-    prev = 0.0
-    for first, last in clusters:
-        # value on the interval just right of the cluster: the right factor
-        # sits just past its jump at b_m exactly when a_i + b_m <= last
-        v = max(fn(vi, lvs[bisect_right(row, last)]) for vi, row in zip(F._vs, sums))
-        if v > prev + TOL:
-            breaks.append((first, min(v, 1.0)))
-            prev = v
-    return StepCdf(tuple(breaks))
+    events = [(a + b, fn(v, w)) for a, v in F.breaks for b, w in L.breaks]
+    events.sort(key=itemgetter(0))
+    while events and events[-1][0] == INF:
+        events.pop()
+    return _envelope(events)
 
 
 def star_from_tnorm(T: TNorm) -> TriangleFunction:

@@ -1,14 +1,26 @@
-"""Independent brute-force oracles used to cross-check the exact library
-paths.  These deliberately avoid the library's decision procedures: the
-distance oracle scans a dense probe-radius grid and checks the defining
-condition with vectorized evaluation, and the convolution oracle maximizes
-over a dense splitting grid."""
+"""Independent oracles used to cross-check the exact library paths.
+
+The brute-force oracles deliberately avoid the library's decision
+procedures: the distance oracle scans a dense probe-radius grid and checks
+the defining condition with vectorized evaluation, and the convolution
+oracle maximizes over a dense splitting grid.
+
+The probe-based lattice kernels below are the library's earlier exact
+implementations, kept as cross-checks for the sorted-sweep envelope: they
+read each interval value by evaluating the inputs at one probe per
+candidate cluster.  Their final probe ``last + 1.0`` is only valid for
+breakpoints below 2**53.
+"""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from typing import Callable, Sequence
+
 import numpy as np
 
-from pmspace import StepCdf
+from pmspace import TOL, StepCdf, TNorm, evaluate
 
 
 def np_eval(F: StepCdf, pts: np.ndarray) -> np.ndarray:
@@ -84,3 +96,87 @@ def convolution_probes(F: StepCdf, L: StepCdf) -> list[float]:
     probes += [(a + b) / 2.0 for a, b in zip(cands, cands[1:])]
     probes.append(cands[-1] + 1.0)
     return probes
+
+
+def _cluster(cands: Sequence[float]) -> list[tuple[float, float]]:
+    """Group sorted candidate breakpoints within TOL of each other into
+    (first, last) clusters; each cluster is one canonical breakpoint."""
+    clusters: list[tuple[float, float]] = []
+    for c in cands:
+        if clusters and c - clusters[-1][1] <= TOL:
+            clusters[-1] = (clusters[-1][0], c)
+        else:
+            clusters.append((c, c))
+    return clusters
+
+
+def _from_interval_values(cands: Sequence[float], value_at: Callable[[float], float]) -> StepCdf:
+    """Canonical StepCdf from sorted, deduplicated candidate breakpoints and
+    a left-continuous reader of the target, probed at the first member of
+    the next cluster (and one unit past the last)."""
+    clusters = _cluster(cands)
+    breaks: list[tuple[float, float]] = []
+    prev = 0.0
+    for k, (first, last) in enumerate(clusters):
+        probe = clusters[k + 1][0] if k + 1 < len(clusters) else last + 1.0
+        v = value_at(probe)
+        if v > prev + TOL:
+            breaks.append((first, min(v, 1.0)))
+            prev = v
+    return StepCdf(tuple(breaks))
+
+
+def probe_pointwise_sup(family: Sequence[StepCdf]) -> StepCdf:
+    """Pointwise maximum of a nonempty family, read at probes."""
+    if len(family) == 1:
+        return family[0]
+    cands = sorted({t for F in family for t in F._ts})
+    return _from_interval_values(cands, lambda t: max(evaluate(F, t) for F in family))
+
+
+def bisect_sup_convolution(T: TNorm, F: StepCdf, L: StepCdf) -> StepCdf:
+    """Sup-convolution with one maximum over F's rows per candidate cluster,
+    each row reading L by counting sums ``a_i + b_m`` at or below the
+    cluster's last member (m^3 log m)."""
+    if not F.breaks or not L.breaks:
+        return StepCdf()
+    sums = [tuple(a + b for b in L._ts) for a in F._ts]
+    clusters = _cluster(sorted({s for row in sums for s in row}))
+    lvs = (0.0,) + L._vs
+    breaks: list[tuple[float, float]] = []
+    prev = 0.0
+    for first, last in clusters:
+        v = max(T.fn(vi, lvs[bisect_right(row, last)]) for vi, row in zip(F._vs, sums))
+        if v > prev + TOL:
+            breaks.append((first, min(v, 1.0)))
+            prev = v
+    return StepCdf(tuple(breaks))
+
+
+def probe_leq_witness(F: StepCdf, G: StepCdf, tol: float = TOL) -> float | None:
+    """First union breakpoint (or the probe one unit past the last) where
+    F exceeds G by more than tol."""
+    cands = sorted(set(F._ts) | set(G._ts))
+    for c in cands + [cands[-1] + 1.0 if cands else 1.0]:
+        if evaluate(F, c) > evaluate(G, c) + tol:
+            return c
+    return None
+
+
+def cell_quantize(F: StepCdf, delta: float) -> StepCdf:
+    """Grid quantization by folding breaks into a dict of grid cells, the
+    last break of a cell giving its right-limit value."""
+    kmax = int(math.floor(1.0 / (delta * delta) + 1e-9))
+    cells: dict[int, float] = {}
+    for t, v in F.breaks:
+        k = math.ceil(t / delta - 1e-9)
+        if k > kmax:
+            break
+        cells[k] = min(math.floor((v + TOL) / delta) * delta, 1.0)
+    breaks: list[tuple[float, float]] = []
+    prev = 0.0
+    for k in sorted(cells):
+        if cells[k] > prev + TOL:
+            breaks.append((k * delta, cells[k]))
+            prev = cells[k]
+    return StepCdf(tuple(breaks))

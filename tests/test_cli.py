@@ -62,6 +62,24 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "net", space_file, "--t", "2.5")
         assert code == 0 and len(out.split()) >= 1
 
+    def test_check_space_validates_once(self, capsys, space_file, monkeypatch):
+        import pmspace.cli as cli
+        import pmspace.spaces as spaces
+
+        calls = []
+        validate = spaces.validate_space_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(spaces, "validate_space_matrix", counted)
+        # also any name the command module binds for itself
+        monkeypatch.setattr(cli, "validate_space_matrix", counted, raising=False)
+        code, out, _ = run(capsys, "check-space", space_file)
+        assert code == 0 and out == "identity: ok\nsymmetry: ok\ntriangle: ok\n"
+        assert len(calls) == 1
+
 
 class TestLipschitzCommands:
     def test_gen_check_extend_cycle(self, capsys, tmp_path, space_file):
