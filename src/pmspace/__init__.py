@@ -31,8 +31,6 @@ from .extraction import (
     verify_uniform_convergence,
 )
 from .levy import (
-    DEFAULT,
-    LevyConfig,
     condition_a,
     is_weak_limit,
     levy_distance,

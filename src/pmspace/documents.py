@@ -37,10 +37,14 @@ def _cdf_to_json(F: StepCdf) -> list:
     return [[t, v] for t, v in F.breaks]
 
 
+def _is_number(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _cdf_from_json(obj, where: str) -> StepCdf:
     if not isinstance(obj, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(c, (int, float)) for c in p)
-        for p in obj
+        isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p) for p in obj
     ):
         raise ParseError(f"{where}: expected a list of [breakpoint, value] pairs")
     return make_step_cdf(obj)
@@ -108,12 +112,12 @@ def _report_from_json(obj: dict) -> dict:
     report: dict = {}
     for key in ("eps", "pairwise_dinf"):
         if key in obj:
-            if not isinstance(obj[key], (int, float)):
+            if not _is_number(obj[key]):
                 raise ParseError(f"report field {key!r} must be a number")
             report[key] = float(obj[key])
     if "selected" in obj:
         sel = obj["selected"]
-        if not isinstance(sel, list) or not all(isinstance(i, int) for i in sel):
+        if not isinstance(sel, list) or not all(type(i) is int for i in sel):  # not bool
             raise ParseError("report field 'selected' must be a list of integers")
         report["selected"] = list(sel)
     for key in ("lipschitz_ok", "success", "cauchy_ok"):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .cdf import StepCdf, quantize
 from .errors import DomainMismatch, IndexOutOfRange, InsufficientSequence, PreconditionViolated
-from .levy import DEFAULT, LevyConfig, levy_distance, levy_to_h0, uniform_distance
+from .levy import levy_distance, levy_to_h0, uniform_distance
 from .lipschitz import LipschitzMap, delta_embed, is_one_lipschitz
 from .spaces import ProbMetricSpace
 
@@ -67,7 +67,6 @@ def extract_uniform_subsequence(
     space: ProbMetricSpace,
     maps: Sequence[LipschitzMap],
     eps: float,
-    cfg: LevyConfig = DEFAULT,
 ) -> ExtractionReport:
     """Diagonal refinement over the finite point list at scale eps/2 per
     point, then a full re-measurement of what was extracted.
@@ -95,7 +94,7 @@ def extract_uniform_subsequence(
     return ExtractionReport(
         selected=tuple(selected),
         limit=limit,
-        pairwise_dinf=_pairwise_dinf(space, maps, selected, cfg),
+        pairwise_dinf=_pairwise_dinf(space, maps, selected),
         lipschitz_ok=bool(is_one_lipschitz(space, limit)),
         eps=eps,
     )
@@ -105,7 +104,6 @@ def _pairwise_dinf(
     space: ProbMetricSpace,
     maps: Sequence[LipschitzMap],
     selected: Sequence[int],
-    cfg: LevyConfig,
 ) -> float:
     # max over pairs of the uniform distance == max over points of the
     # per-point pairwise distance; collapsing duplicates per point keeps the
@@ -115,7 +113,7 @@ def _pairwise_dinf(
         distinct = list({maps[i].values[x].breaks: maps[i].values[x] for i in selected}.values())
         for a in range(len(distinct)):
             for b in range(a + 1, len(distinct)):
-                worst = max(worst, levy_distance(distinct[a], distinct[b], cfg))
+                worst = max(worst, levy_distance(distinct[a], distinct[b]))
     return worst
 
 
@@ -125,7 +123,6 @@ def verify_uniform_convergence(
     selected: Sequence[int],
     limit,
     eps: float,
-    cfg: LevyConfig = DEFAULT,
 ) -> bool:
     """True iff the tail half of the selected maps stays within eps of the
     limit in uniform distance."""
@@ -135,16 +132,13 @@ def verify_uniform_convergence(
         if not (0 <= i < len(maps)):
             raise IndexOutOfRange(f"selected index {i} out of range for {len(maps)} maps")
     tail = selected[len(selected) // 2 :]
-    return all(
-        uniform_distance(maps[i], limit, space.points, cfg) <= eps for i in tail
-    )
+    return all(uniform_distance(maps[i], limit, space.points) <= eps for i in tail)
 
 
 def converse_compactness_witness(
     space: ProbMetricSpace,
     pts: Sequence,
     eps: float,
-    cfg: LevyConfig = DEFAULT,
 ) -> tuple[tuple[int, ...], bool]:
     """Run the extraction on the distance embeddings of a point sequence.
 
@@ -155,7 +149,7 @@ def converse_compactness_witness(
     """
     pts = list(pts)
     maps = [delta_embed(space, p) for p in pts]
-    report = extract_uniform_subsequence(space, maps, eps, cfg)
+    report = extract_uniform_subsequence(space, maps, eps)
     selected = report.selected
     labels = sorted({pts[i] for i in selected}, key=space.index)
     cauchy_ok = all(

@@ -3,46 +3,29 @@ distance between function-valued maps, and weak-convergence checks.
 
 The distance between F and G is the least probe radius h in (0, 1] such that
 both sided conditions ``G(t) <= F(t+h) + h`` and ``F(t) <= G(t+h) + h`` hold
-for every t in the window (0, 1/h).  Each per-h decision is exact (the
-left-continuous step structure confines the supremum of the defect to a
-finite candidate set), the condition is monotone in h, and the infimum is
-found by bisection.
+for every t in the window (0, 1/h).  Each side has a closed form.  On the
+interval of G that starts at a jump (b, v) the worst probe is t -> b+, so the
+side holds exactly when every jump has ``F((b+h)+) + h >= v`` or lies past
+the window (``h >= 1/b``).  The left side is right-continuous and strictly
+increasing in h, so each jump's least radius is attained and is read off
+F's right-limit constancy intervals; the side is the largest of them and the
+distance the larger side.  The per-radius decision :func:`condition_a`
+certifies the result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Iterable, Mapping, Sequence
 
-from .cdf import StepCdf, approx_equal, evaluate
-from .errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange
-
-
-@dataclass(frozen=True)
-class LevyConfig:
-    """Bisection controls.  The returned distance is within ``bisection_tol``
-    of the true infimum and never below it."""
-
-    bisection_tol: float = 1e-10
-    max_iter: int = 60
-
-    def __post_init__(self):
-        if not (0.0 < self.bisection_tol <= 1e-3):
-            raise PreconditionViolated(
-                f"bisection_tol must lie in (0, 1e-3], got {self.bisection_tol}"
-            )
-        need = math.ceil(math.log2(1.0 / self.bisection_tol))
-        if self.max_iter < need:
-            raise PreconditionViolated(
-                f"max_iter={self.max_iter} cannot reach tolerance {self.bisection_tol}; need >= {need}"
-            )
-
-
-DEFAULT = LevyConfig()
+from .cdf import H0, StepCdf, approx_equal, evaluate, value_after
+from .errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange, ValidationError
 
 
 def _as_mapping(f) -> Mapping:
+    # a plain mapping, or anything carrying one under .values (dict.values is
+    # a method, so the Mapping check must come first)
     if isinstance(f, Mapping):
         return f
     vals = getattr(f, "values", None)
@@ -83,51 +66,67 @@ def _both_sides(F: StepCdf, G: StepCdf, h: float) -> bool:
     return condition_a(F, G, h) and condition_a(G, F, h)
 
 
-def levy_distance(F: StepCdf, G: StepCdf, cfg: LevyConfig = DEFAULT) -> float:
-    """inf{h : both sided conditions hold}, by bisection over [0, 1].
+def _side(F: StepCdf, G: StepCdf) -> float:
+    """inf{h in (0, 1] : G(t) <= F(t+h) + h on (0, 1/h)}, in closed form.
 
-    Exactly 0 when F and G are canonically equal; otherwise returns a valid
-    probe radius at most ``cfg.bisection_tol`` above the infimum.  Symmetric
-    by construction, and always <= 1 since both conditions hold at h = 1.
+    A jump (b, v) of G needs the least h with ``value_after(F, b+h) + h >= v``,
+    capped at the window edge 1/b and at 1.  On a right-limit constancy
+    interval of F with value w starting at offset ``gap`` from b the candidate
+    is ``max(gap, v-w)``; the scan stops at the first interval containing its
+    candidate, or once the next interval starts past the cap.  A jump the
+    running maximum already satisfies is skipped with one lookup.
+    """
+    ts, vs = F._ts, F._vs
+    n = len(ts)
+    best = 0.0
+    for b, v in G.breaks:
+        cap = 1.0 / b if b > 1.0 else 1.0
+        if best >= cap or value_after(F, b + best) + best >= v:
+            continue
+        k = bisect_right(ts, b)
+        h = v - (vs[k - 1] if k else 0.0)
+        while k < n:
+            gap = ts[k] - b
+            if h < gap or gap >= cap:
+                break
+            h = max(gap, v - vs[k])
+            k += 1
+        best = max(best, min(h, cap))
+    return best
+
+
+def levy_distance(F: StepCdf, G: StepCdf) -> float:
+    """The least radius at which both sided conditions hold.
+
+    Exactly 0 when F and G are canonically equal.  Otherwise the closed form
+    of each side, moved up by at most four ulps until :func:`condition_a`
+    accepts it on both sides, so the result is always a valid probe radius.
+    Symmetric by construction, and always <= 1 since both conditions hold at
+    h = 1.
     """
     if approx_equal(F, G):
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(cfg.max_iter):
-        if hi - lo <= cfg.bisection_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _both_sides(F, G, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    d = max(_side(F, G), _side(G, F))
+    # probe coordinates such as ``a - h`` round, so the float decision can
+    # reject the exact infimum by an ulp or two
+    for _ in range(5):
+        if d == 0.0 or _both_sides(F, G, d):
+            return d
+        d = math.nextafter(d, 1.0)
+    raise ValidationError(f"closed-form Levy distance failed certification near {d}")
 
 
 def levy_to_h0(F: StepCdf) -> float:
     """Exact distance from F to the unit step at 0.
 
-    Against the maximal element the two-sided condition collapses to
-    ``F(h+) >= 1 - h``, whose solution set is an up-set; scanning the
-    constancy intervals of the right limit yields the infimum in closed form.
+    Against the maximal element the condition ``F(t) <= H0(t+h) + h`` always
+    holds, and the other side collapses to ``F(h+) >= 1 - h``: the single
+    jump of H0 at 0, so one scan of F's right-limit intervals.
     """
-    n = len(F.breaks)
-    for i in range(n + 1):
-        start = 0.0 if i == 0 else F._ts[i - 1]
-        value = 0.0 if i == 0 else F._vs[i - 1]
-        end = F._ts[i] if i < n else math.inf
-        h = max(start, 1.0 - value)
-        if h < end:
-            return min(h, 1.0)
-    return 1.0  # unreachable: the final interval always qualifies
+    return _side(F, H0)
 
 
-def uniform_distance(
-    f,
-    g,
-    points: Sequence,
-    cfg: LevyConfig = DEFAULT,
-) -> float:
+def uniform_distance(f, g, points: Sequence) -> float:
     """Largest per-point distance between two maps into the lattice.
 
     Accepts anything with a ``values`` mapping (a certified Lipschitz map) or
@@ -141,21 +140,15 @@ def uniform_distance(
             Fx, Gx = fv[x], gv[x]
         except KeyError as exc:
             raise DomainMismatch(f"map not defined at point {x!r}") from exc
-        worst = max(worst, levy_distance(Fx, Gx, cfg))
+        worst = max(worst, levy_distance(Fx, Gx))
     return worst
 
 
-def is_weak_limit(
-    seq: Iterable[StepCdf],
-    F: StepCdf,
-    tol: float,
-    tail: int,
-    cfg: LevyConfig = DEFAULT,
-) -> bool:
+def is_weak_limit(seq: Iterable[StepCdf], F: StepCdf, tol: float, tail: int) -> bool:
     """True iff the last ``tail`` members of the sequence are within ``tol``
     of F in the modified Levy distance.  This is the finite-sequence reading
     of weak convergence: the distance metrizes it."""
     seq = list(seq)
     if not (0 < tail <= len(seq)):
         raise PreconditionViolated(f"tail must lie in [1, {len(seq)}], got {tail}")
-    return all(levy_distance(Fn, F, cfg) < tol for Fn in seq[-tail:])
+    return all(levy_distance(Fn, F) < tol for Fn in seq[-tail:])

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .levy import DEFAULT, LevyConfig, levy_distance, levy_to_h0
+from .levy import _as_mapping, levy_distance, levy_to_h0
 from .spaces import ProbMetricSpace
 from .tnorms import TriangleFunction
 
@@ -66,20 +66,9 @@ class LipschitzCheck:
         return self.ok
 
 
-def _values_of(f) -> Mapping:
-    # a plain mapping, or anything carrying one under .values (dict.values is
-    # a method, so the Mapping check must come first)
-    if isinstance(f, Mapping):
-        return f
-    vals = getattr(f, "values", None)
-    if isinstance(vals, Mapping):
-        return vals
-    raise DomainMismatch(f"expected a mapping point -> cdf, got {type(f).__name__}")
-
-
 def is_one_lipschitz(space: ProbMetricSpace, f, tol: float = TOL) -> LipschitzCheck:
     """Exhaustive ordered-pair certificate of the defining inequality."""
-    vals = _values_of(f)
+    vals = _as_mapping(f)
     for p in space.points:
         if p not in vals:
             raise DomainMismatch(f"map not defined at point {p!r}")
@@ -103,7 +92,7 @@ def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> Lipschit
     anchors = list(A)
     if not anchors:
         raise EmptySubset("extension needs a nonempty anchor set")
-    vals = _values_of(f)
+    vals = _as_mapping(f)
     for a in anchors:
         space.index(a)  # raises UnknownPoint for strays
         if a not in vals:
@@ -142,20 +131,19 @@ def equicontinuity_bound(
     Fx: StepCdf,
     Fy: StepCdf,
     star: TriangleFunction,
-    cfg: LevyConfig = DEFAULT,
 ) -> tuple[float, float]:
     """The two sides of the equicontinuity estimate for a Lipschitz pair.
 
     Requires both relations ``star(Dxy, Fy) <= Fx`` and ``star(Dxy, Fx) <= Fy``;
     returns (distance between the values, max of the two perturbation
-    distances).  The first never exceeds the second beyond bisection error.
+    distances).  The first never exceeds the second.
     """
     if not leq(star(Dxy, Fy), Fx) or not leq(star(Dxy, Fx), Fy):
         raise PreconditionViolated("both Lipschitz relations must hold for the pair")
-    lhs = levy_distance(Fx, Fy, cfg)
+    lhs = levy_distance(Fx, Fy)
     rhs = max(
-        levy_distance(star(Dxy, Fx), Fx, cfg),
-        levy_distance(star(Dxy, Fy), Fy, cfg),
+        levy_distance(star(Dxy, Fx), Fx),
+        levy_distance(star(Dxy, Fy), Fy),
     )
     return lhs, rhs
 
@@ -171,7 +159,6 @@ def estimate_modulus(
     eps: float,
     sampler: Callable[[], StepCdf],
     budget: int,
-    cfg: LevyConfig = DEFAULT,
     max_halvings: int = 20,
 ) -> ModulusEstimate:
     """Empirical uniform-continuity modulus: the largest eta in {eps/2^k}
@@ -200,7 +187,7 @@ def estimate_modulus(
             else:
                 r = eta * (0.1 + 0.8 * (i + 1) / (budget + 1))
                 D = pointwise_sup([base, make_step_cdf([(r, 1.0 - r)])])
-            if levy_distance(star(D, F), F, cfg) >= eps:
+            if levy_distance(star(D, F), F) >= eps:
                 ok = False
                 break
         if ok:

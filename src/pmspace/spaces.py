@@ -144,7 +144,7 @@ def from_classical_metric(
 
 def strong_neighborhood(space: ProbMetricSpace, x, t: float) -> tuple:
     """Points y with D(x,y)(t) > 1 - t, in point order.  Always contains x."""
-    if t <= 0.0:
+    if not (t > 0.0):  # also rejects NaN
         raise PreconditionViolated(f"neighborhood radius must be positive, got {t}")
     i = space.index(x)
     row = space.matrix[i]

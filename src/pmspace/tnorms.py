@@ -27,7 +27,7 @@ from .cdf import (
     pointwise_sup,
 )
 from .errors import ArgOutOfRange, EmptyFamily, PreconditionViolated, ValidationError
-from .levy import DEFAULT, LevyConfig, is_weak_limit, levy_distance
+from .levy import is_weak_limit, levy_distance
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,8 @@ STAR_MIN = star_from_tnorm(MINIMUM)
 STAR_PROD = star_from_tnorm(PRODUCT)
 STAR_LUKA = star_from_tnorm(LUKASIEWICZ)
 
-BUILTIN_STARS = {
-    "minimum": STAR_MIN,
-    "product": STAR_PROD,
-    "lukasiewicz": STAR_LUKA,
-    "min": STAR_MIN,
-    "prod": STAR_PROD,
-    "luka": STAR_LUKA,
-}
+_STAR_OF = {S.tnorm: S for S in (STAR_MIN, STAR_PROD, STAR_LUKA)}
+BUILTIN_STARS = {name: _STAR_OF[T] for name, T in BUILTIN_TNORMS.items()}
 
 
 def _is_valid_cdf(F) -> bool:
@@ -284,7 +278,6 @@ def check_weak_continuity(
     l_limit: StepCdf,
     tol: float,
     tail: int = 10,
-    cfg: LevyConfig = DEFAULT,
 ) -> bool:
     """Finite-sequence continuity of the operation at the pair of limits.
 
@@ -295,13 +288,13 @@ def check_weak_continuity(
     fseq, lseq = list(fseq), list(lseq)
     if len(fseq) != len(lseq):
         raise PreconditionViolated("input sequences must have equal length")
-    if not is_weak_limit(fseq, f_limit, tol, tail, cfg):
+    if not is_weak_limit(fseq, f_limit, tol, tail):
         raise PreconditionViolated("first sequence does not converge at the stated tolerance")
-    if not is_weak_limit(lseq, l_limit, tol, tail, cfg):
+    if not is_weak_limit(lseq, l_limit, tol, tail):
         raise PreconditionViolated("second sequence does not converge at the stated tolerance")
     target = star(f_limit, l_limit)
     return all(
-        levy_distance(star(Fn, Ln), target, cfg) < 3.0 * tol
+        levy_distance(star(Fn, Ln), target) < 3.0 * tol
         for Fn, Ln in zip(fseq[-tail:], lseq[-tail:])
     )
 

@@ -5,6 +5,10 @@ procedures: the distance oracle scans a dense probe-radius grid and checks
 the defining condition with vectorized evaluation, and the convolution
 oracle maximizes over a dense splitting grid.
 
+The bisection distance is the library's earlier Levy search, kept as a
+cross-check for the closed form: it halves [0, 1] on the per-radius
+decision until the bracket is below ``tol`` and returns the valid end.
+
 The probe-based lattice kernels below are the library's earlier exact
 implementations, kept as cross-checks for the sorted-sweep envelope: they
 read each interval value by evaluating the inputs at one probe per
@@ -20,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from pmspace import TOL, StepCdf, TNorm, evaluate
+from pmspace import TOL, StepCdf, TNorm, approx_equal, condition_a, evaluate
 
 
 def np_eval(F: StepCdf, pts: np.ndarray) -> np.ndarray:
@@ -60,6 +64,21 @@ def grid_levy_distance(F: StepCdf, G: StepCdf, step: float = 1e-4) -> float:
 
     ok = one_side(F, G) & one_side(G, F)
     return float(hs[int(np.argmax(ok))])
+
+
+def bisection_levy_distance(F: StepCdf, G: StepCdf, tol: float = 1e-10) -> float:
+    """Valid probe radius at most ``tol`` above the least one, found by
+    bisection over [0, 1]; exactly 0 for canonically equal inputs."""
+    if approx_equal(F, G):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if condition_a(F, G, mid) and condition_a(G, F, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 _NP_TNORMS = {

@@ -2,7 +2,9 @@
 
 The dyadic strategy keeps every coordinate a small binary fraction so
 lattice and convolution arithmetic is exact; the float strategy exercises
-canonicalization on arbitrary coordinates.
+canonicalization on arbitrary coordinates.  The window-edge strategy puts
+every breakpoint in (1, 6), where the Levy window edge 1/b and the shifted
+window end h + 1/h fall on probe radii inside (0, 1].
 """
 
 import hypothesis.strategies as st
@@ -26,19 +28,41 @@ def float_cdfs(draw, max_breaks: int = 4) -> StepCdf:
     if n == 0:
         return StepCdf()
     gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
-    incs = draw(st.lists(st.floats(0.02, 0.5), min_size=n, max_size=n))
-    full = draw(st.booleans())
     ts, t = [], 0.0
     for g in gaps:
         t += g
         ts.append(t)
+    return make_step_cdf(zip(ts, draw(_float_values(n))))
+
+
+@st.composite
+def _float_values(draw, n: int) -> list[float]:
+    incs = draw(st.lists(st.floats(0.02, 0.5), min_size=n, max_size=n))
+    full = draw(st.booleans())
     total = sum(incs)
     scale = 1.0 / total if full or total > 1.0 else 1.0
     vs, acc = [], 0.0
     for inc in incs:
         acc += inc
         vs.append(min(acc * scale, 1.0))
-    return make_step_cdf(zip(ts, vs))
+    return vs
+
+
+@st.composite
+def window_cdfs(draw, max_breaks: int = 4) -> StepCdf:
+    n = draw(st.integers(0, max_breaks))
+    if n == 0:
+        return StepCdf()
+    if draw(st.booleans()):  # eighths in (1, 6), sixteenths as values
+        ts = sorted(draw(st.lists(st.integers(9, 47), min_size=n, max_size=n, unique=True)))
+        vs = sorted(draw(st.lists(st.integers(1, 16), min_size=n, max_size=n, unique=True)))
+        return StepCdf(tuple((t / 8.0, v / 16.0) for t, v in zip(ts, vs)))
+    t = draw(st.floats(1.0, 2.0, exclude_min=True))
+    ts = [t]
+    for g in draw(st.lists(st.floats(0.01, 1.3), min_size=n - 1, max_size=n - 1)):
+        t += g
+        ts.append(t)
+    return make_step_cdf(zip(ts, draw(_float_values(n))))
 
 
 def cdfs(max_breaks: int = 4):

@@ -41,6 +41,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_document('{"kind":"zebra"}')
 
+    @pytest.mark.parametrize("points", ["[[true,1]]", "[[0,false]]", "[[0.5,0.5],[1,true]]"])
+    def test_boolean_coordinates_rejected(self, points):
+        # JSON booleans load as Python bools, a subclass of int
+        with pytest.raises(ParseError):
+            parse_document('{"kind":"cdf","points":%s}' % points)
+
+    @pytest.mark.parametrize(
+        "field", ['"eps":true', '"pairwise_dinf":false', '"selected":[true,false]', '"selected":[0,true]']
+    )
+    def test_boolean_report_numbers_rejected(self, field):
+        with pytest.raises(ParseError):
+            parse_document('{"kind":"report",%s}' % field)
+
     def test_invalid_cdf_values_rejected(self):
         with pytest.raises(ValidationError):
             parse_document('{"kind":"cdf","points":[[1,2.0]]}')

@@ -1,5 +1,5 @@
-"""The modified Levy distance: probe condition, bisection, closed forms,
-uniform distance, and weak-convergence checks."""
+"""The modified Levy distance: probe condition, closed forms against the
+bisection and grid oracles, uniform distance, and weak-convergence checks."""
 
 import random
 
@@ -8,10 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pmspace import (
-    DEFAULT,
     H0,
     HINF,
-    LevyConfig,
     condition_a,
     evaluate,
     heaviside,
@@ -25,8 +23,8 @@ from pmspace import (
 )
 from pmspace.errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange
 
-from oracles import grid_levy_distance
-from strategies import cdfs
+from oracles import bisection_levy_distance, grid_levy_distance
+from strategies import cdfs, window_cdfs
 
 
 class TestCondition:
@@ -79,11 +77,15 @@ class TestLevyDistance:
     def test_matches_grid_oracle(self, F, G):
         assert levy_distance(F, G) == pytest.approx(grid_levy_distance(F, G), abs=2e-4)
 
-    def test_config_validation(self):
-        with pytest.raises(PreconditionViolated):
-            LevyConfig(bisection_tol=0.5)
-        with pytest.raises(PreconditionViolated):
-            LevyConfig(bisection_tol=1e-10, max_iter=10)
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(cdfs(), cdfs()), st.tuples(cdfs(8), cdfs(8)),
+                     st.tuples(window_cdfs(), window_cdfs()), st.tuples(window_cdfs(), cdfs())))
+    def test_closed_form_within_bisection_bracket(self, pair):
+        # window-edge inputs put breakpoints in (1, 6), where the caps 1/b and
+        # the crossings h + 1/h = a fall inside (0, 1]
+        F, G = pair
+        exact = levy_distance(F, G)
+        assert exact <= bisection_levy_distance(F, G) <= exact + 1e-10
 
 
 class TestDistanceToUnitStep:
@@ -108,7 +110,7 @@ class TestDistanceToUnitStep:
     def test_antitone(self, F, G):
         # raising a function can only move it closer to the unit step
         G2 = pointwise_sup([F, G])
-        assert levy_to_h0(G2) <= levy_to_h0(F) + 2 * DEFAULT.bisection_tol
+        assert levy_to_h0(G2) <= levy_to_h0(F) + 2e-10
 
     @given(cdfs(), st.floats(0.01, 0.99))
     def test_neighborhood_equivalence(self, F, t):
@@ -161,7 +163,7 @@ class TestWeakLimit:
 class TestMetricAxioms:
     def test_seeded_suite(self):
         rng = random.Random(99)
-        tol = 3 * DEFAULT.bisection_tol
+        tol = 3e-10
         for _ in range(200):
             F, G, K = (random_step_cdf(rng, grid=rng.random() < 0.5) for _ in range(3))
             dfg = levy_distance(F, G)

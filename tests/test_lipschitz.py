@@ -6,7 +6,6 @@ import random
 import pytest
 
 from pmspace import (
-    DEFAULT,
     H0,
     HINF,
     STAR_MIN,
@@ -201,7 +200,7 @@ class TestEquicontinuity:
 
     def test_bound_on_constructed_pairs(self):
         rng = random.Random(12)
-        slack = 3 * DEFAULT.bisection_tol
+        slack = 3e-10
         for _ in range(100):
             D = random_step_cdf(rng)
             G = random_step_cdf(rng)
@@ -252,7 +251,7 @@ class TestContinuityAtDeskScale:
             assert levy_distance(f[y], f[x]) == 0.0
         for y in sp.points:
             lhs, rhs = equicontinuity_bound(sp.dist(x, y), f[x], f[y], sp.star)
-            assert lhs <= rhs + 3 * DEFAULT.bisection_tol
+            assert lhs <= rhs + 3e-10
 
 
 class TestPointwiseLimitClosure:
@@ -280,7 +279,7 @@ class TestPointwiseLimitClosure:
 
 class TestDeltaLowerBound:
     def test_uniform_distance_dominates_point_distance(self):
-        slack = 2 * DEFAULT.bisection_tol
+        slack = 2e-10
         for sp in gen_spaces(41, 10):
             embeds = {p: delta_embed(sp, p) for p in sp.points}
             for p in sp.points:

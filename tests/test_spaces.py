@@ -1,6 +1,7 @@
 """Space construction, axiom validation, neighborhoods, covers and
 generators."""
 
+import math
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from pmspace import (
     H0,
+    Document,
     STAR_MIN,
     STAR_PROD,
     covering_net,
@@ -19,6 +21,7 @@ from pmspace import (
     leq,
     levy_to_h0,
     make_space,
+    serialize_document,
     strong_neighborhood,
     sup_convolution,
 )
@@ -32,6 +35,7 @@ from pmspace.errors import (
     TriangleViolation,
     UnknownPoint,
 )
+from pmspace.cli import run_command
 from pmspace.tnorms import MINIMUM, TriangleFunction
 
 
@@ -131,6 +135,16 @@ class TestStrongNeighborhood:
         sp = heaviside_space(PATH3)
         with pytest.raises(UnknownPoint):
             strong_neighborhood(sp, "zz", 0.5)
+
+    def test_nan_radius_rejected(self, tmp_path):
+        # a NaN radius once yielded empty neighborhoods, so covering_net and
+        # `pms net --t nan` looped forever
+        sp = heaviside_space(PATH3)
+        with pytest.raises(PreconditionViolated):
+            strong_neighborhood(sp, "p0", math.nan)
+        path = tmp_path / "s.pms"
+        path.write_text(serialize_document(Document("space", sp, {})))
+        assert run_command(["net", str(path), "--t", "nan"]) == 1
 
 
 class TestIsCauchy:
