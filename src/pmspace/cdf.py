@@ -29,6 +29,7 @@ from .errors import (
     InvalidDelta,
     NegativeBreakpoint,
     NonMonotoneValue,
+    PreconditionViolated,
     ValueOutOfRange,
 )
 
@@ -243,8 +244,13 @@ def random_step_cdf(rng: random.Random, max_breaks: int = 4, grid: bool = True) 
     on the 1/16 grid, so downstream sums, minima and products stay exact in
     floating point.  With ``grid=False`` coordinates are uniform floats, which
     exercises canonicalization instead.  Zero breaks (the lattice minimum) and
-    full unit mass both occur.
+    full unit mass both occur.  The grid has 16 value levels, so
+    ``max_breaks`` must lie in [0, 16] there; otherwise it must be
+    nonnegative.
     """
+    cap = 16 if grid else INF
+    if not (0 <= max_breaks <= cap):
+        raise PreconditionViolated(f"max_breaks must lie in [0, {cap}], got {max_breaks}")
     n = rng.randint(0, max_breaks)
     if n == 0:
         return HINF

@@ -226,8 +226,11 @@ def check_triangle_axioms(
     step at 0, and monotonicity on the given triples.
 
     Monotonicity is exercised by lifting the first component to the pointwise
-    supremum with the second, which supplies a comparable pair.
+    supremum with the second, which supplies a comparable pair.  ``tol``
+    must be nonnegative: under NaN every comparison would fail.
     """
+    if not (tol >= 0.0):  # also rejects NaN
+        raise PreconditionViolated(f"tolerance must be nonnegative, got {tol}")
     report = AxiomReport()
 
     def fail(axiom: str, triple) -> None:

@@ -14,6 +14,10 @@ implementations, kept as cross-checks for the sorted-sweep envelope: they
 read each interval value by evaluating the inputs at one probe per
 candidate cluster.  Their final probe ``last + 1.0`` is only valid for
 breakpoints below 2**53.
+
+The full triangle scan is the library's earlier space validator, kept as a
+cross-check for the pruned scan: it checks every one of the n^3 triples in
+lexicographic order, whatever the star and the matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from pmspace import TOL, StepCdf, TNorm, approx_equal, condition_a, evaluate
+from pmspace import H0, TOL, StepCdf, TNorm, approx_equal, condition_a, evaluate, leq_witness
+from pmspace.errors import (
+    DomainMismatch,
+    IdentityViolation,
+    SpaceAxiomViolation,
+    SymmetryViolation,
+    TriangleViolation,
+)
 
 
 def np_eval(F: StepCdf, pts: np.ndarray) -> np.ndarray:
@@ -199,3 +210,42 @@ def cell_quantize(F: StepCdf, delta: float) -> StepCdf:
             breaks.append((k * delta, cells[k]))
             prev = cells[k]
     return StepCdf(tuple(breaks))
+
+
+def full_triangle_scan(points, matrix, star) -> tuple | None:
+    """Outcome of validating a space with every triple checked:
+    ``(exception type, message, witness)`` for the first violated axiom, or
+    None when the space is valid."""
+    try:
+        n = len(points)
+        if len(set(points)) != n:
+            raise DomainMismatch("point labels must be distinct")
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise DomainMismatch(f"distance matrix must be {n}x{n}")
+        for i, p in enumerate(points):
+            if not approx_equal(matrix[i][i], H0):
+                raise IdentityViolation(
+                    f"distance of {p!r} to itself is not the unit step at 0", witness=(p,)
+                )
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                if i < j and approx_equal(matrix[i][j], H0):
+                    raise IdentityViolation(
+                        f"distinct points {p!r}, {q!r} at the unit step at 0", witness=(p, q)
+                    )
+                if i < j and not approx_equal(matrix[i][j], matrix[j][i]):
+                    raise SymmetryViolation(
+                        f"distance between {p!r} and {q!r} is asymmetric", witness=(p, q)
+                    )
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
+                for k, r in enumerate(points):
+                    t = leq_witness(star(matrix[i][j], matrix[j][k]), matrix[i][k])
+                    if t is not None:
+                        raise TriangleViolation(
+                            f"triangle inequality fails for ({p!r}, {q!r}, {r!r}) at t={t}",
+                            witness=(p, q, r, t),
+                        )
+    except (DomainMismatch, SpaceAxiomViolation) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None

@@ -28,6 +28,7 @@ from pmspace.errors import (
     InvalidDelta,
     NegativeBreakpoint,
     NonMonotoneValue,
+    PreconditionViolated,
     ValueOutOfRange,
 )
 
@@ -241,6 +242,22 @@ class TestQuantize:
             assert levy_distance(F, quantize(F, delta)) <= 2 * delta + 1e-9
             if k < 30:  # brute-force cross-check on a prefix
                 assert grid_levy_distance(F, quantize(F, delta)) <= 2 * delta + 1e-4
+
+
+class TestRandomStepCdf:
+    @pytest.mark.parametrize("max_breaks, grid", [(-1, True), (-1, False), (17, True), (20, True)])
+    def test_out_of_range_rejected(self, max_breaks, grid):
+        # the grid has 16 value levels; only some seeds draw more than 16 breaks
+        for seed in range(1, 6):
+            with pytest.raises(PreconditionViolated):
+                random_step_cdf(random.Random(seed), max_breaks, grid)
+
+    def test_range_edges(self):
+        rng = random.Random(1)
+        for _ in range(50):
+            assert len(random_step_cdf(rng, 16).breaks) <= 16
+            assert len(random_step_cdf(rng, 0).breaks) == 0
+        assert len(random_step_cdf(rng, 40, grid=False).breaks) <= 40
 
 
 class TestCanonicalUniqueness:

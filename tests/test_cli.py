@@ -169,6 +169,17 @@ class TestExitCodes:
     def test_seed_required_for_generators(self, capsys):
         assert run(capsys, "gen", "cdf")[0] == 2
 
+    @pytest.mark.parametrize("max_breaks", ["-1", "20"])
+    def test_gen_cdf_break_count_out_of_range(self, capsys, max_breaks):
+        for seed in ("1", "4", "5"):
+            code, out, err = run(capsys, "gen", "cdf", "--seed", seed, "--max-breaks", max_breaks)
+            assert code == 1 and out == ""
+            assert "PreconditionViolated" in err and "Traceback" not in err
+
+    def test_check_star_nan_tolerance(self, capsys):
+        code, out, err = run(capsys, "check-star", "--seed", "1", "--samples", "3", "--tol", "nan")
+        assert code == 1 and out == "" and "PreconditionViolated" in err
+
 
 class TestDeterminism:
     def test_byte_identical_generation(self, capsys):

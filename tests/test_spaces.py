@@ -10,8 +10,10 @@ import pytest
 from pmspace import (
     H0,
     Document,
+    STAR_LUKA,
     STAR_MIN,
     STAR_PROD,
+    StepCdf,
     covering_net,
     from_classical_metric,
     gen_space,
@@ -21,6 +23,7 @@ from pmspace import (
     leq,
     levy_to_h0,
     make_space,
+    random_step_cdf,
     serialize_document,
     strong_neighborhood,
     sup_convolution,
@@ -30,13 +33,18 @@ from pmspace.errors import (
     IdentityViolation,
     NotAMetric,
     PreconditionViolated,
+    SpaceAxiomViolation,
     StarNotAdditiveOnHeaviside,
     SymmetryViolation,
     TriangleViolation,
     UnknownPoint,
 )
+from pmspace import tnorms
 from pmspace.cli import run_command
-from pmspace.tnorms import MINIMUM, TriangleFunction
+from pmspace.spaces import validate_space_matrix
+from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
+
+from oracles import full_triangle_scan
 
 
 def heaviside_space(d, star=STAR_MIN):
@@ -88,6 +96,84 @@ class TestMakeSpace:
             sup_convolution(MINIMUM, sp.dist("p0", "p1"), sp.dist("p1", "p2")),
             sp.dist("p0", "p2"),
         )
+
+
+def validation_outcome(points, matrix, star):
+    try:
+        validate_space_matrix(points, matrix, star)
+    except SpaceAxiomViolation as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def count_star_calls(monkeypatch, points, matrix, star) -> int:
+    calls = []
+    real = tnorms.sup_convolution
+
+    def counted(T, F, L):
+        calls.append(1)
+        return real(T, F, L)
+
+    monkeypatch.setattr(tnorms, "sup_convolution", counted)
+    validate_space_matrix(points, matrix, star)
+    return len(calls)
+
+
+def equilateral(n, F=heaviside(1.0)):
+    return [[H0 if i == k else F for k in range(n)] for i in range(n)]
+
+
+class TestPrunedTriangleScan:
+    """Built-in stars scan only i < k, j not in {i, k}; the verdict, message
+    and witness must stay those of the full n^3 scan."""
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_matches_full_scan(self, star):
+        rng = random.Random(f"pruned:{star.name}")
+        raised = 0
+        for sp in gen_spaces(31, 40, max_points=7, star=star):
+            cases = [[list(row) for row in sp.matrix]]
+            for _ in range(6 if len(sp) > 1 else 0):
+                m = [list(row) for row in sp.matrix]
+                i, k = rng.sample(range(len(sp)), 2)
+                m[i][k] = m[k][i] = random_step_cdf(rng, 4, grid=rng.random() < 0.7)
+                cases.append(m)
+            for m in cases:
+                want = full_triangle_scan(sp.points, m, star)
+                assert validation_outcome(sp.points, m, star) == want
+                raised += want is not None
+        assert raised > 60  # the corrupted copies do exercise the witness
+
+    def test_call_count_builtin(self, monkeypatch):
+        sp = gen_space(3, 10, "metric")
+        assert count_star_calls(monkeypatch, sp.points, sp.matrix, STAR_MIN) == 10 * 9 * 8 // 2
+
+    def test_call_count_custom_star(self, monkeypatch):
+        sp = gen_space(3, 10, "metric")
+        custom = star_from_tnorm(MINIMUM)  # same operation, not a shared instance
+        assert count_star_calls(monkeypatch, sp.points, sp.matrix, custom) == 10**3
+
+    @pytest.mark.parametrize(
+        "i, k, F",
+        [(2, 1, heaviside(1.0 + 1e-13)), (3, 3, heaviside(1e-13))],  # both within TOL
+        ids=["asymmetric", "diagonal"],
+    )
+    def test_inexact_matrix_gets_full_scan(self, monkeypatch, i, k, F):
+        labels = ("a", "b", "c", "d")
+        m = equilateral(4)
+        m[i][k] = F
+        assert count_star_calls(monkeypatch, labels, m, STAR_MIN) == 4**3
+
+    def test_non_canonical_entry_gets_full_scan(self):
+        # the two jumps chain within TOL, so star(H0, F) lifts F on (1, 1 + 1e-13]:
+        # only the skipped triple (a, a, b) fails, and the full scan finds it
+        F = StepCdf(((1.0, 0.5), (1.0 + 1e-13, 0.9)))
+        labels = ("a", "b", "c")
+        m = equilateral(3)
+        m[0][1] = m[1][0] = F
+        want = full_triangle_scan(labels, m, STAR_MIN)
+        assert want is not None and want[2][:3] == ("a", "a", "b")
+        assert validation_outcome(labels, m, STAR_MIN) == want
 
 
 class TestFromClassicalMetric:

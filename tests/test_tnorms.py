@@ -134,6 +134,13 @@ class TestTriangleAxioms:
         report = check_triangle_axioms(STAR_PROD, triples, tol=0.0)
         assert report.associativity
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        # under NaN every tolerance comparison is false, which would report
+        # `min` as neither commutative nor associative
+        with pytest.raises(PreconditionViolated):
+            check_triangle_axioms(STAR_MIN, random_triples(random.Random(1), 3), tol)
+
 
 class TestSupContinuity:
     def test_singleton_family(self):
