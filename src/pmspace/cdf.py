@@ -20,7 +20,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -48,14 +47,6 @@ class StepCdf:
     tolerance-based canonical equality used throughout the package."""
 
     breaks: tuple[tuple[float, float], ...] = ()
-
-    @cached_property
-    def _ts(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.breaks)
-
-    @cached_property
-    def _vs(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.breaks)
 
     def __call__(self, t: float) -> float:
         return evaluate(self, t)
@@ -117,14 +108,16 @@ def evaluate(F: StepCdf, t: float) -> float:
     0 when there is none, and 1 at t = +inf."""
     if t == INF:
         return 1.0
-    i = bisect_left(F._ts, t)
-    return F._vs[i - 1] if i else 0.0
+    # (t,) sorts before every pair at t, so this counts the breakpoints < t
+    i = bisect_left(F.breaks, (t,))
+    return F.breaks[i - 1][1] if i else 0.0
 
 
 def value_after(F: StepCdf, t: float) -> float:
     """Right limit F(t+): the value ``v_i`` for the largest ``t_i <= t``."""
-    i = bisect_right(F._ts, t)
-    return F._vs[i - 1] if i else 0.0
+    # (t, INF) sorts after every pair at t, so this counts the breakpoints <= t
+    i = bisect_right(F.breaks, (t, INF))
+    return F.breaks[i - 1][1] if i else 0.0
 
 
 def leq(F: StepCdf, G: StepCdf, tol: float = TOL) -> bool:
@@ -220,17 +213,23 @@ def quantize(F: StepCdf, delta: float) -> StepCdf:
     horizon ``1/delta``; on each grid cell (k*delta, (k+1)*delta] it takes the
     value ``floor(F(k*delta+)/delta) * delta``.  Consequences: G <= F, the map
     is idempotent on its image, and the image for a fixed delta is finite,
-    which is what makes grid keys usable as cluster buckets.
+    which is what makes grid keys usable as cluster buckets.  A delta whose
+    horizon is not a finite float (below about 7.5e-155) is rejected.
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must lie in (0, 1], got {delta}")
-    kmax = int(math.floor(1.0 / (delta * delta) + 1e-9))
+    sq = delta * delta
+    horizon = 1.0 / sq if sq else INF
+    if horizon == INF:
+        raise InvalidDelta(f"delta {delta} is too small: the horizon 1/delta**2 is not a finite float")
+    kmax = int(math.floor(horizon + 1e-9))
 
     def cells():
         for t, v in F.breaks:
-            k = math.ceil(t / delta - 1e-9)
-            if k > kmax:
+            x = t / delta - 1e-9
+            if x > kmax:  # ceil(x) > kmax, and also an x that overflowed to +inf
                 return
+            k = math.ceil(x)
             # +TOL absorbs float dirt when v is already a grid multiple
             yield k * delta, min(math.floor((v + TOL) / delta) * delta, 1.0)
 

@@ -11,15 +11,21 @@ increasing in h, so each jump's least radius is attained and is read off
 F's right-limit constancy intervals; the side is the largest of them and the
 distance the larger side.  The per-radius decision :func:`condition_a`
 certifies the result.
+
+Both kernels are forward walks over the ``breaks`` pairs with no bisection:
+every probe coordinate they read (``b + best`` and b in the closed form,
+``b + h`` and ``a - h`` in the decision) is nondecreasing along the walk, so
+a pointer into the other function that only moves forward reads the same
+value a search would.  When the window end 1/h overflows to +inf, both
+functions read 1 there and the decision skips that probe.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Iterable, Mapping, Sequence
 
-from .cdf import H0, StepCdf, approx_equal, evaluate, value_after
+from .cdf import H0, INF, StepCdf, approx_equal
 from .errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange, ValidationError
 
 
@@ -41,24 +47,55 @@ def condition_a(F: StepCdf, G: StepCdf, h: float) -> bool:
     jumps sit at G's breakpoints and at F's breakpoints shifted by -h.  Its
     supremum over the window is therefore attained among the interval values
     read (left-continuously) at those points and at the window end ``1/h``.
+
+    Two forward walks read them.  The walk over G's jumps b in (0, 1/h)
+    takes G(b) as the value before b and reads F at ``b+h`` through a pointer
+    that only moves forward; the window end is its last probe, at the same
+    pair ``(1/h, 1/h+h)`` as a jump at b = 1/h.  The walk over F's jumps a
+    with ``0 < a-h <= 1/h`` takes F(a) as the value before a and reads G at
+    ``a-h`` the same way.  Each probe keeps both coordinates exact: re-deriving
+    a from ``(a-h) + h`` can round past the jump at a and misread F by the
+    whole jump height.  When 1/h overflows to +inf (h <= 1/DBL_MAX) the window
+    end reads 1 for both functions and always passes, so it is skipped.
     """
     if not (0.0 < h <= 1.0):
         raise ProbeOutOfRange(f"probe radius must lie in (0, 1], got {h}")
     window = 1.0 / h
-    # Candidates carry both coordinates (t, t+h) exactly: re-deriving a_i from
-    # (a_i - h) + h can round past the jump at a_i and misread F by the whole
-    # jump height.
-    pairs = [(window, window + h)]
-    for b in G._ts:
-        if 0.0 < b <= window:
-            pairs.append((b, b + h))
-    for a in F._ts:
-        c = a - h
-        if 0.0 < c <= window:
-            pairs.append((c, a))
-    for t, th in pairs:
-        if evaluate(G, t) > evaluate(F, th) + h:
+    fb, gb = F.breaks, G.breaks
+    nf, ng = len(fb), len(gb)
+    i = 0
+    fv = gv = 0.0  # F left of the pointer, G on the interval ending at b
+    for b, v in gb:
+        if b >= window:
+            break
+        if b > 0.0:
+            th = b + h
+            while i < nf and fb[i][0] < th:
+                fv = fb[i][1]
+                i += 1
+            if gv > fv + h:
+                return False
+        gv = v
+    if window < INF:
+        th = window + h
+        while i < nf and fb[i][0] < th:
+            fv = fb[i][1]
+            i += 1
+        if gv > fv + h:
             return False
+    j = 0
+    fv = gv = 0.0  # F on the interval ending at a, G left of the pointer
+    for a, v in fb:
+        c = a - h
+        if c > window:
+            break
+        if c > 0.0:
+            while j < ng and gb[j][0] < c:
+                gv = gb[j][1]
+                j += 1
+            if gv > fv + h:
+                return False
+        fv = v
     return True
 
 
@@ -69,27 +106,38 @@ def _both_sides(F: StepCdf, G: StepCdf, h: float) -> bool:
 def _side(F: StepCdf, G: StepCdf) -> float:
     """inf{h in (0, 1] : G(t) <= F(t+h) + h on (0, 1/h)}, in closed form.
 
-    A jump (b, v) of G needs the least h with ``value_after(F, b+h) + h >= v``,
-    capped at the window edge 1/b and at 1.  On a right-limit constancy
-    interval of F with value w starting at offset ``gap`` from b the candidate
-    is ``max(gap, v-w)``; the scan stops at the first interval containing its
+    A jump (b, v) of G needs the least h with ``F((b+h)+) + h >= v``, capped
+    at the window edge 1/b and at 1.  On a right-limit constancy interval of
+    F with value w starting at offset ``gap`` from b the candidate is
+    ``max(gap, v-w)``; the scan stops at the first interval containing its
     candidate, or once the next interval starts past the cap.  A jump the
-    running maximum already satisfies is skipped with one lookup.
+    running maximum already satisfies is skipped.  Two forward pointers into
+    F replace the lookups: one past the breakpoints at or below ``b + best``
+    and one past those at or below b, since both probes only grow.
     """
-    ts, vs = F._ts, F._vs
-    n = len(ts)
+    fb = F.breaks
+    n = len(fb)
+    p = q = 0  # F's breakpoints at or below b + best, at or below b
     best = 0.0
     for b, v in G.breaks:
         cap = 1.0 / b if b > 1.0 else 1.0
-        if best >= cap or value_after(F, b + best) + best >= v:
+        if best >= cap:
             continue
-        k = bisect_right(ts, b)
-        h = v - (vs[k - 1] if k else 0.0)
+        tb = b + best
+        while p < n and fb[p][0] <= tb:
+            p += 1
+        if (fb[p - 1][1] if p else 0.0) + best >= v:
+            continue
+        while q < n and fb[q][0] <= b:
+            q += 1
+        k = q
+        h = v - (fb[k - 1][1] if k else 0.0)
         while k < n:
-            gap = ts[k] - b
+            t, w = fb[k]
+            gap = t - b
             if h < gap or gap >= cap:
                 break
-            h = max(gap, v - vs[k])
+            h = max(gap, v - w)
             k += 1
         best = max(best, min(h, cap))
     return best

@@ -6,8 +6,14 @@ the defining condition with vectorized evaluation, and the convolution
 oracle maximizes over a dense splitting grid.
 
 The bisection distance is the library's earlier Levy search, kept as a
-cross-check for the closed form: it halves [0, 1] on the per-radius
-decision until the bracket is below ``tol`` and returns the valid end.
+cross-check for the closed form: it halves [0, 1] on the probe-list
+decision below until the bracket is below ``tol`` and returns the valid end.
+
+The probe-list decision and the bisecting closed form are the library's
+earlier Levy kernels, kept as cross-checks for the forward walks: the
+decision lists every candidate probe pair and evaluates both functions at
+each by bisection, and the closed form finds each jump's scan start and its
+skip test by bisection.
 
 The probe-based lattice kernels below are the library's earlier exact
 implementations, kept as cross-checks for the sorted-sweep envelope: they
@@ -28,20 +34,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from pmspace import H0, TOL, StepCdf, TNorm, approx_equal, condition_a, evaluate, leq_witness
+from pmspace import H0, TOL, StepCdf, TNorm, approx_equal, evaluate, leq_witness, value_after
 from pmspace.errors import (
     DomainMismatch,
     IdentityViolation,
+    ProbeOutOfRange,
     SpaceAxiomViolation,
     SymmetryViolation,
     TriangleViolation,
+    ValidationError,
 )
 
 
 def np_eval(F: StepCdf, pts: np.ndarray) -> np.ndarray:
     """Vectorized left-continuous evaluation."""
-    ts = np.asarray(F._ts)
-    vs = np.concatenate(([0.0], np.asarray(F._vs)))
+    ts = np.asarray([t for t, _ in F.breaks])
+    vs = np.concatenate(([0.0], [v for _, v in F.breaks]))
     return vs[np.searchsorted(ts, pts, side="left")]
 
 
@@ -58,10 +66,10 @@ def grid_levy_distance(F: StepCdf, G: StepCdf, step: float = 1e-4) -> float:
         # carried exactly so jump sides are read correctly
         t_cols = [win]
         th_cols = [win + hs]
-        for b in B._ts:
+        for b, _ in B.breaks:
             t_cols.append(np.full_like(hs, b))
             th_cols.append(b + hs)
-        for a in A._ts:
+        for a, _ in A.breaks:
             t_cols.append(a - hs)
             th_cols.append(np.full_like(hs, a))
         t = np.stack(t_cols, axis=1)
@@ -77,6 +85,62 @@ def grid_levy_distance(F: StepCdf, G: StepCdf, step: float = 1e-4) -> float:
     return float(hs[int(np.argmax(ok))])
 
 
+def probe_condition_a(F: StepCdf, G: StepCdf, h: float) -> bool:
+    """``G(t) <= F(t+h) + h`` on (0, 1/h), checked at a list of candidate
+    probe pairs ``(t, t+h)``, each read by bisecting evaluation."""
+    if not (0.0 < h <= 1.0):
+        raise ProbeOutOfRange(f"probe radius must lie in (0, 1], got {h}")
+    window = 1.0 / h
+    pairs = [(window, window + h)]
+    for b, _ in G.breaks:
+        if 0.0 < b <= window:
+            pairs.append((b, b + h))
+    for a, _ in F.breaks:
+        c = a - h
+        if 0.0 < c <= window:
+            pairs.append((c, a))
+    for t, th in pairs:
+        if evaluate(G, t) > evaluate(F, th) + h:
+            return False
+    return True
+
+
+def bisect_side(F: StepCdf, G: StepCdf) -> float:
+    """The sided closed form with one ``value_after`` skip test and one
+    ``bisect_right`` scan start per jump of G."""
+    ts = tuple(t for t, _ in F.breaks)
+    vs = tuple(v for _, v in F.breaks)
+    n = len(ts)
+    best = 0.0
+    for b, v in G.breaks:
+        cap = 1.0 / b if b > 1.0 else 1.0
+        if best >= cap or value_after(F, b + best) + best >= v:
+            continue
+        k = bisect_right(ts, b)
+        h = v - (vs[k - 1] if k else 0.0)
+        while k < n:
+            gap = ts[k] - b
+            if h < gap or gap >= cap:
+                break
+            h = max(gap, v - vs[k])
+            k += 1
+        best = max(best, min(h, cap))
+    return best
+
+
+def probe_levy_distance(F: StepCdf, G: StepCdf) -> float:
+    """The closed-form distance from :func:`bisect_side`, certified by
+    :func:`probe_condition_a` with the library's four-ulp bound."""
+    if approx_equal(F, G):
+        return 0.0
+    d = max(bisect_side(F, G), bisect_side(G, F))
+    for _ in range(5):
+        if d == 0.0 or (probe_condition_a(F, G, d) and probe_condition_a(G, F, d)):
+            return d
+        d = math.nextafter(d, 1.0)
+    raise ValidationError(f"closed-form Levy distance failed certification near {d}")
+
+
 def bisection_levy_distance(F: StepCdf, G: StepCdf, tol: float = 1e-10) -> float:
     """Valid probe radius at most ``tol`` above the least one, found by
     bisection over [0, 1]; exactly 0 for canonically equal inputs."""
@@ -85,7 +149,7 @@ def bisection_levy_distance(F: StepCdf, G: StepCdf, tol: float = 1e-10) -> float
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if condition_a(F, G, mid) and condition_a(G, F, mid):
+        if probe_condition_a(F, G, mid) and probe_condition_a(G, F, mid):
             hi = mid
         else:
             lo = mid
@@ -108,7 +172,7 @@ def grid_convolution_bounds(tnorm_name, F, L, t, step=1e-3, shift=2e-3):
     optimum whenever the grid is finer than the shift.
     """
     T = _NP_TNORMS[tnorm_name]
-    smax = (F._ts[-1] if F.breaks else 0.0) + (L._ts[-1] if L.breaks else 0.0) + 1.0
+    smax = (F.breaks[-1][0] if F.breaks else 0.0) + (L.breaks[-1][0] if L.breaks else 0.0) + 1.0
     s = np.arange(0.0, max(smax, t) + 2.0 * step, step)
     Fs = np_eval(F, s)
     lo = float(np.max(T(Fs, np_eval(L, t - s)))) if len(s) else 0.0
@@ -119,7 +183,7 @@ def grid_convolution_bounds(tnorm_name, F, L, t, step=1e-3, shift=2e-3):
 def convolution_probes(F: StepCdf, L: StepCdf) -> list[float]:
     """One probe inside every constancy interval of the exact convolution:
     midpoints between consecutive jump-sum candidates plus flanks."""
-    cands = sorted({a + b for a in F._ts for b in L._ts})
+    cands = sorted({a + b for a, _ in F.breaks for b, _ in L.breaks})
     if not cands:
         return [0.5, 1.0]
     probes = [cands[0] / 2.0] if cands[0] > 0 else []
@@ -160,7 +224,7 @@ def probe_pointwise_sup(family: Sequence[StepCdf]) -> StepCdf:
     """Pointwise maximum of a nonempty family, read at probes."""
     if len(family) == 1:
         return family[0]
-    cands = sorted({t for F in family for t in F._ts})
+    cands = sorted({t for F in family for t, _ in F.breaks})
     return _from_interval_values(cands, lambda t: max(evaluate(F, t) for F in family))
 
 
@@ -170,13 +234,13 @@ def bisect_sup_convolution(T: TNorm, F: StepCdf, L: StepCdf) -> StepCdf:
     cluster's last member (m^3 log m)."""
     if not F.breaks or not L.breaks:
         return StepCdf()
-    sums = [tuple(a + b for b in L._ts) for a in F._ts]
+    sums = [tuple(a + b for b, _ in L.breaks) for a, _ in F.breaks]
     clusters = _cluster(sorted({s for row in sums for s in row}))
-    lvs = (0.0,) + L._vs
+    lvs = (0.0,) + tuple(w for _, w in L.breaks)
     breaks: list[tuple[float, float]] = []
     prev = 0.0
     for first, last in clusters:
-        v = max(T.fn(vi, lvs[bisect_right(row, last)]) for vi, row in zip(F._vs, sums))
+        v = max(T.fn(vi, lvs[bisect_right(row, last)]) for (_, vi), row in zip(F.breaks, sums))
         if v > prev + TOL:
             breaks.append((first, min(v, 1.0)))
             prev = v
@@ -186,7 +250,7 @@ def bisect_sup_convolution(T: TNorm, F: StepCdf, L: StepCdf) -> StepCdf:
 def probe_leq_witness(F: StepCdf, G: StepCdf, tol: float = TOL) -> float | None:
     """First union breakpoint (or the probe one unit past the last) where
     F exceeds G by more than tol."""
-    cands = sorted(set(F._ts) | set(G._ts))
+    cands = sorted({t for t, _ in F.breaks} | {t for t, _ in G.breaks})
     for c in cands + [cands[-1] + 1.0 if cands else 1.0]:
         if evaluate(F, c) > evaluate(G, c) + tol:
             return c

@@ -4,7 +4,9 @@ The dyadic strategy keeps every coordinate a small binary fraction so
 lattice and convolution arithmetic is exact; the float strategy exercises
 canonicalization on arbitrary coordinates.  The window-edge strategy puts
 every breakpoint in (1, 6), where the Levy window edge 1/b and the shifted
-window end h + 1/h fall on probe radii inside (0, 1].
+window end h + 1/h fall on probe radii inside (0, 1].  The near-tie
+strategy pairs a cdf with a copy whose jumps sit within or just beyond the
+canonical tolerance of the original ones.
 """
 
 import hypothesis.strategies as st
@@ -67,3 +69,19 @@ def window_cdfs(draw, max_breaks: int = 4) -> StepCdf:
 
 def cdfs(max_breaks: int = 4):
     return st.one_of(dyadic_cdfs(max_breaks), float_cdfs(max_breaks))
+
+
+# shifts around the canonical tolerance 1e-12: equal, chained within it, and
+# just beyond it
+SHIFTS = [0.0, 1e-13, 5e-13, 2e-12]
+
+
+@st.composite
+def near_ties(draw, max_breaks: int = 4) -> tuple[StepCdf, StepCdf]:
+    """A cdf and a copy whose jumps are each shifted by one of SHIFTS and
+    whose values are scaled, so breakpoints and their sums tie within TOL."""
+    F = draw(cdfs(max_breaks))
+    shifts = draw(st.lists(st.sampled_from(SHIFTS), min_size=len(F.breaks), max_size=len(F.breaks)))
+    scale = draw(st.sampled_from([1.0, 0.75, 0.5]))
+    G = make_step_cdf((t + s, v * scale) for (t, v), s in zip(F.breaks, shifts))
+    return F, G

@@ -140,7 +140,7 @@ class TestOrder:
     @given(cdfs(), cdfs())
     def test_leq_matches_grid(self, F, G):
         # oracle: compare on a probe grid covering every constancy interval
-        probes = sorted(set(F._ts) | set(G._ts))
+        probes = sorted({t for t, _ in F.breaks} | {t for t, _ in G.breaks})
         probes += [p + 0.5 for p in probes] + [probes[-1] + 1.0] if probes else [1.0]
         expected = all(evaluate(F, p) <= evaluate(G, p) + TOL for p in probes)
         assert leq(F, G) == expected
@@ -172,7 +172,7 @@ class TestPointwiseSup:
         # a kept probe are skipped, since breakpoints that close are one
         # canonical breakpoint and the sliver between them carries fuzz
         sup = pointwise_sup(fam)
-        raw = sorted({t for F in fam for t in F._ts} | set(sup._ts))
+        raw = sorted({t for F in fam + [sup] for t, _ in F.breaks})
         probes = []
         for p in raw:
             if not probes or p - probes[-1] > 2 * TOL:
@@ -204,6 +204,17 @@ class TestQuantize:
     def test_bad_delta_rejected(self, delta):
         with pytest.raises(InvalidDelta):
             quantize(H0, delta)
+
+    @pytest.mark.parametrize("delta", [1e-155, 1e-200, 5e-324])
+    def test_delta_beyond_the_float_horizon_rejected(self, delta):
+        # 1/delta**2 overflows to +inf, or delta**2 underflows to 0
+        with pytest.raises(InvalidDelta):
+            quantize(make_step_cdf([(0.5, 0.5)]), delta)
+
+    def test_breakpoint_whose_grid_index_overflows_is_past_the_horizon(self):
+        # 1e200 / 1e-150 is +inf, beyond the finite horizon 1e300
+        F = make_step_cdf([(0.5, 0.5), (1e200, 1.0)])
+        assert quantize(F, 1e-150) == quantize(make_step_cdf([(0.5, 0.5)]), 1e-150)
 
     @given(cdfs(), st.sampled_from([0.5, 0.25, 0.1, 0.05]))
     def test_below_and_idempotent(self, F, delta):
@@ -263,7 +274,7 @@ class TestRandomStepCdf:
 class TestCanonicalUniqueness:
     @given(cdfs(), cdfs())
     def test_equal_sequences_iff_pointwise_equal(self, F, G):
-        probes = sorted(set(F._ts) | set(G._ts))
+        probes = sorted({t for t, _ in F.breaks} | {t for t, _ in G.breaks})
         probes = probes + [probes[-1] + 1.0] if probes else [1.0]
         pointwise = all(abs(evaluate(F, p) - evaluate(G, p)) <= TOL for p in probes)
         assert approx_equal(F, G) == pointwise

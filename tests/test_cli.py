@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pmspace import parse_document
+from pmspace import make_step_cdf, parse_document, quantize
 from pmspace.cli import run_command
 
 
@@ -113,18 +113,23 @@ class TestLipschitzCommands:
         assert values["p0"].breaks == ((0.0, 1.0),)
 
 
+def map_sequence_file(tmp_path, space_file, count):
+    from pmspace import Document, serialize_document
+    from pmspace.documents import VERSION
+
+    maps = []
+    for seed in range(count):
+        m = tmp_path / f"m{seed}.map"
+        assert run_command(["gen", "lip", space_file, "--seed", str(seed), "--out", str(m)]) == 0
+        maps.append(parse_document(m.read_text()).payload)
+    seq = tmp_path / "maps.seq"
+    seq.write_text(serialize_document(Document("map_sequence", maps, {"version": VERSION})))
+    return seq
+
+
 class TestExtractionCommands:
     def test_extract_pipeline(self, capsys, tmp_path, space_file):
-        seq = tmp_path / "maps.seq"
-        maps = []
-        for seed in range(25):
-            m = tmp_path / f"m{seed}.map"
-            assert run_command(["gen", "lip", space_file, "--seed", str(seed), "--out", str(m)]) == 0
-            maps.append(parse_document(m.read_text()).payload)
-        from pmspace import Document, serialize_document
-        from pmspace.documents import VERSION
-
-        seq.write_text(serialize_document(Document("map_sequence", maps, {"version": VERSION})))
+        seq = map_sequence_file(tmp_path, space_file, 25)
         out_path = tmp_path / "r.report"
         code = run_command(
             ["extract", space_file, str(seq), "--eps", "0.1", "--out", str(out_path)]
@@ -133,6 +138,12 @@ class TestExtractionCommands:
         report = parse_document(out_path.read_text()).payload
         assert report["success"] and report["eps"] == 0.1
         assert report["selected"] == sorted(report["selected"])
+
+    def test_extract_eps_beyond_the_float_horizon(self, capsys, tmp_path, space_file):
+        # eps/4 squared underflows to 0, so the quantization grid has no horizon
+        seq = map_sequence_file(tmp_path, space_file, 3)
+        code, out, err = run(capsys, "extract", space_file, str(seq), "--eps", "1e-200")
+        assert code == 1 and out == "" and "InvalidDelta" in err
 
     def test_converse_seeded_walk(self, capsys, space_file):
         code, out, _ = run(capsys, "converse", space_file, "--seed", "7", "--steps", "40", "--eps", "0.1")
@@ -179,6 +190,19 @@ class TestExitCodes:
     def test_check_star_nan_tolerance(self, capsys):
         code, out, err = run(capsys, "check-star", "--seed", "1", "--samples", "3", "--tol", "nan")
         assert code == 1 and out == "" and "PreconditionViolated" in err
+
+    @pytest.mark.parametrize("delta", ["1e-155", "1e-200"])
+    def test_quantize_delta_beyond_the_float_horizon(self, capsys, tmp_path, delta):
+        f = tmp_path / "f.cdf"
+        f.write_text('{"kind":"cdf","points":[[0.5,0.5]]}')
+        code, out, err = run(capsys, "quantize", str(f), "--delta", delta)
+        assert code == 1 and out == "" and "InvalidDelta" in err
+
+    def test_quantize_breakpoint_past_the_float_grid(self, capsys, tmp_path):
+        f = tmp_path / "f.cdf"
+        f.write_text('{"kind":"cdf","points":[[0.5,0.5],[1e200,1]]}')
+        code, out, _ = run(capsys, "quantize", str(f), "--delta", "1e-150")
+        assert code == 0 and parse_document(out).payload == quantize(make_step_cdf([(0.5, 0.5)]), 1e-150)
 
 
 class TestDeterminism:

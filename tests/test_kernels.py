@@ -10,7 +10,6 @@ from pmspace import (
     LUKASIEWICZ,
     MINIMUM,
     PRODUCT,
-    StepCdf,
     evaluate,
     leq,
     leq_witness,
@@ -23,24 +22,9 @@ from pmspace import (
 from pmspace.cli import run_command
 
 from oracles import bisect_sup_convolution, cell_quantize, probe_leq_witness, probe_pointwise_sup
-from strategies import cdfs
+from strategies import cdfs, near_ties
 
 ALL_TNORMS = [MINIMUM, PRODUCT, LUKASIEWICZ]
-
-# shifts around the canonical tolerance 1e-12: equal, chained within it, and
-# just beyond it
-SHIFTS = [0.0, 1e-13, 5e-13, 2e-12]
-
-
-@st.composite
-def near_ties(draw, max_breaks: int = 4) -> tuple[StepCdf, StepCdf]:
-    """A cdf and a copy whose jumps are each shifted by one of SHIFTS and
-    whose values are scaled, so breakpoints and their sums tie within TOL."""
-    F = draw(cdfs(max_breaks))
-    shifts = draw(st.lists(st.sampled_from(SHIFTS), min_size=len(F.breaks), max_size=len(F.breaks)))
-    scale = draw(st.sampled_from([1.0, 0.75, 0.5]))
-    G = make_step_cdf((t + s, v * scale) for (t, v), s in zip(F.breaks, shifts))
-    return F, G
 
 
 pairs = st.one_of(st.tuples(cdfs(), cdfs()), near_ties(), st.tuples(cdfs(8), cdfs(8)))

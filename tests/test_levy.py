@@ -1,7 +1,10 @@
-"""The modified Levy distance: probe condition, closed forms against the
+"""The modified Levy distance: probe condition, the forward walks against
+the probe-list and bisecting kernels they replaced, closed forms against the
 bisection and grid oracles, uniform distance, and weak-convergence checks."""
 
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +25,27 @@ from pmspace import (
     uniform_distance,
 )
 from pmspace.errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange
+from pmspace.levy import _side
 
-from oracles import bisection_levy_distance, grid_levy_distance
-from strategies import cdfs, window_cdfs
+from oracles import (
+    bisect_side,
+    bisection_levy_distance,
+    grid_levy_distance,
+    probe_condition_a,
+    probe_levy_distance,
+)
+from strategies import cdfs, near_ties, window_cdfs
+
+DBL_MAX = sys.float_info.max
+
+levy_pairs = st.one_of(
+    st.tuples(cdfs(), cdfs()),
+    st.tuples(cdfs(8), cdfs(8)),
+    st.tuples(window_cdfs(), window_cdfs()),
+    st.tuples(window_cdfs(), cdfs()),
+    near_ties(),
+    near_ties(8),
+)
 
 
 class TestCondition:
@@ -47,6 +68,57 @@ class TestCondition:
         h2 = min(1.0, h + bump)
         if condition_a(F, G, h):
             assert condition_a(F, G, h2)
+
+
+class TestAgainstProbeKernels:
+    """The forward walks make the same float comparisons as the kernels they
+    replaced, so every result is bit-identical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(levy_pairs, st.floats(0.0, 1.0, exclude_min=True))
+    def test_condition_a(self, pair, h):
+        # a random radius (subnormal ones overflow the window to +inf), both
+        # closed-form radii, and the window edge 1/b of every breakpoint b > 1
+        F, G = pair
+        radii = [h, _side(F, G), _side(G, F)]
+        radii += [1.0 / b for b, _ in F.breaks + G.breaks if b > 1.0]
+        for r in radii:
+            if r > 0.0:
+                assert condition_a(F, G, r) == probe_condition_a(F, G, r)
+                assert condition_a(G, F, r) == probe_condition_a(G, F, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(levy_pairs)
+    def test_side(self, pair):
+        F, G = pair
+        assert _side(F, G) == bisect_side(F, G)
+        assert _side(G, F) == bisect_side(G, F)
+
+    @settings(max_examples=300, deadline=None)
+    @given(levy_pairs)
+    def test_levy_distance(self, pair):
+        F, G = pair
+        assert levy_distance(F, G) == probe_levy_distance(F, G)
+
+
+class TestWindowOverflow:
+    """At h <= 1/DBL_MAX the window end 1/h is +inf, where both functions
+    read 1 and the probe always passes."""
+
+    def test_window_end_at_infinity_passes(self):
+        F = make_step_cdf([(0.5, 0.5487869330429923)])
+        G = make_step_cdf([(0.5, 0.07487357064741497), (3.0, 0.6294631010669735)])
+        h = 1.0 / DBL_MAX
+        assert 1.0 / h == math.inf
+        assert condition_a(F, G, h) and probe_condition_a(F, G, h)
+
+    def test_jump_at_the_largest_float(self):
+        # the cap 1/b at b = DBL_MAX is the side, and its window is +inf
+        F = make_step_cdf([(1.0, 0.5), (DBL_MAX, 1.0)])
+        G = make_step_cdf([(1.0, 0.5)])
+        d = levy_distance(F, G)
+        assert d == 1.0 / DBL_MAX == probe_levy_distance(F, G)
+        assert condition_a(G, F, d) and condition_a(F, G, d)
 
 
 class TestLevyDistance:
