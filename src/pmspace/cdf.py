@@ -196,6 +196,21 @@ def _envelope(events: Iterable[tuple[float, float]]) -> StepCdf:
     return StepCdf(tuple(breaks))
 
 
+def is_canonical(F) -> bool:
+    """True when F is a StepCdf that :func:`_envelope` could have built:
+    finite breakpoints >= 0 more than TOL apart, values in (0, 1] that each
+    rise by more than TOL (the gap and increment tests are ``_envelope``'s
+    own)."""
+    if not isinstance(F, StepCdf):
+        return False
+    prev_t, prev_v = -INF, 0.0
+    for t, v in F.breaks:
+        if not (0.0 <= t < INF and t - prev_t > TOL and prev_v + TOL < v <= 1.0):
+            return False
+        prev_t, prev_v = t, v
+    return True
+
+
 def pointwise_sup(family: Iterable[StepCdf]) -> StepCdf:
     """Exact pointwise maximum of a nonempty finite family."""
     fams = list(family)
@@ -223,6 +238,9 @@ def quantize(F: StepCdf, delta: float) -> StepCdf:
     if horizon == INF:
         raise InvalidDelta(f"delta {delta} is too small: the horizon 1/delta**2 is not a finite float")
     kmax = int(math.floor(horizon + 1e-9))
+    # absorbs float dirt when v is already a grid multiple; capped at half a
+    # grid step so that it never lifts v into the next cell
+    slack = min(TOL, 0.5 * delta)
 
     def cells():
         for t, v in F.breaks:
@@ -230,8 +248,7 @@ def quantize(F: StepCdf, delta: float) -> StepCdf:
             if x > kmax:  # ceil(x) > kmax, and also an x that overflowed to +inf
                 return
             k = math.ceil(x)
-            # +TOL absorbs float dirt when v is already a grid multiple
-            yield k * delta, min(math.floor((v + TOL) / delta) * delta, 1.0)
+            yield k * delta, min(math.floor((v + slack) / delta) * delta, 1.0)
 
     return _envelope(cells())
 

@@ -147,20 +147,30 @@ def levy_distance(F: StepCdf, G: StepCdf) -> float:
     """The least radius at which both sided conditions hold.
 
     Exactly 0 when F and G are canonically equal.  Otherwise the closed form
-    of each side, moved up by at most four ulps until :func:`condition_a`
-    accepts it on both sides, so the result is always a valid probe radius.
-    Symmetric by construction, and always <= 1 since both conditions hold at
-    h = 1.
+    of each side, moved up until :func:`condition_a` accepts it on both
+    sides, so the result is always a valid probe radius: by at most four
+    ulps of h, then by at most four ulps of the largest breakpoint inside
+    the window.  Symmetric by construction, and always <= 1 since both
+    conditions hold at h = 1.
     """
     if approx_equal(F, G):
         return 0.0
     d = max(_side(F, G), _side(G, F))
-    # probe coordinates such as ``a - h`` round, so the float decision can
-    # reject the exact infimum by an ulp or two
-    for _ in range(5):
+    # probe coordinates such as ``fl(a - h)`` round, so the float decision can
+    # reject the exact infimum.  An ulp or two of h usually fixes that, but a
+    # probe at a breakpoint a moves in ulps of a, which near a = 2 and
+    # h = 0.09 is nine ulps of h; so the later steps are ulps of the largest
+    # breakpoint inside the window.
+    for _ in range(4):
         if d == 0.0 or _both_sides(F, G, d):
             return d
         d = math.nextafter(d, 1.0)
+    window = 1.0 / d
+    step = math.ulp(max([d] + [t for t, _ in F.breaks + G.breaks if t <= window]))
+    for _ in range(5):
+        if _both_sides(F, G, d):
+            return d
+        d = min(d + step, 1.0)
     raise ValidationError(f"closed-form Levy distance failed certification near {d}")
 
 

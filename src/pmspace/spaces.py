@@ -16,7 +16,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .cdf import H0, INF, TOL, StepCdf, approx_equal, evaluate, leq, leq_witness, pointwise_sup, random_step_cdf
+from .cdf import (
+    H0,
+    StepCdf,
+    approx_equal,
+    evaluate,
+    is_canonical,
+    leq,
+    leq_witness,
+    pointwise_sup,
+    random_step_cdf,
+)
 from .errors import (
     DomainMismatch,
     GenerationFailed,
@@ -58,11 +68,17 @@ class ProbMetricSpace:
         return p in self._index
 
 
+def _is_builtin(star: TriangleFunction) -> bool:
+    """True for the shared built-in stars: exactly commutative operations
+    with H0 as neutral element that distribute over finite sups."""
+    return any(star is S for S in (STAR_MIN, STAR_PROD, STAR_LUKA))
+
+
 def _prunable(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bool:
     """True when the triangle scan may skip triples implied by the others:
-    a built-in star (exactly commutative, H0 neutral), an exact H0 diagonal,
-    and exactly symmetric canonical entries off it.  O(n^2 m)."""
-    if not any(star is S for S in (STAR_MIN, STAR_PROD, STAR_LUKA)):
+    a built-in star, an exact H0 diagonal, and exactly symmetric canonical
+    entries off it.  O(n^2 m)."""
+    if not _is_builtin(star):
         return False
     n = len(matrix)
     for i in range(n):
@@ -70,14 +86,8 @@ def _prunable(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bo
             return False
         for k in range(i + 1, n):
             F = matrix[i][k]
-            if F != matrix[k][i]:
+            if F != matrix[k][i] or not is_canonical(F):
                 return False
-            prev_t, prev_v = -INF, 0.0
-            for t, v in F.breaks:
-                # the gap and increment tests are _envelope's own
-                if not (0.0 <= t < INF and t - prev_t > TOL and prev_v + TOL < v <= 1.0):
-                    return False
-                prev_t, prev_v = t, v
     return True
 
 
@@ -261,24 +271,36 @@ def _random_metric(rng: random.Random, n: int) -> list[list[float]]:
     return d
 
 
-def _relax_to_triangle(
-    matrix: list[list[StepCdf]], star: TriangleFunction, max_sweeps: int
+def _close_triangle(
+    matrix: list[list[StepCdf]], star: TriangleFunction, max_passes: int
 ) -> bool:
-    """Raise entries until the triangle inequality holds; True on fixpoint."""
+    """Raise entries to the triangle closure; True once it is reached.
+
+    A pass is one Floyd-Warshall sweep: for each intermediate point k, every
+    pair i < j off k takes ``sup(m[i][j], star(m[i][k], m[k][j]))``, written
+    to both halves.  For a built-in star one pass is the closure (see the
+    README, "Numerical conventions"); any other operation repeats passes
+    until one changes nothing.
+    """
     n = len(matrix)
-    for _ in range(max_sweeps):
+    builtin = _is_builtin(star)
+    for _ in range(max_passes):
         changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                for q in range(n):
-                    if q == i or q == j:
+        for k in range(n):
+            row_k = matrix[k]
+            for i in range(n):
+                if i == k:
+                    continue
+                row_i = matrix[i]
+                d_ik = row_i[k]
+                for j in range(i + 1, n):
+                    if j == k:
                         continue
-                    cand = star(matrix[i][q], matrix[q][j])
-                    if not leq(cand, matrix[i][j]):
-                        merged = pointwise_sup([matrix[i][j], cand])
-                        matrix[i][j] = matrix[j][i] = merged
+                    cand = star(d_ik, row_k[j])
+                    if not leq(cand, row_i[j]):
+                        row_i[j] = matrix[j][i] = pointwise_sup([row_i[j], cand])
                         changed = True
-        if not changed:
+        if builtin or not changed:
             return True
     return False
 
@@ -293,11 +315,13 @@ def gen_space(
 
     model="metric": random connected weighted graph, shortest-path metric,
     embedded as unit steps at the distances.
-    model="repair": random symmetric step-function matrix, then iterated
-    sup-relaxation toward the triangle inequality; off-diagonal entries that
-    collapse onto the unit step at 0 are redrawn.  Raises GenerationFailed
-    when relaxation does not reach a fixpoint under the sweep cap or the
-    identity axiom cannot be restored.
+    model="repair": random symmetric step-function matrix, raised to the
+    triangle inequality by one Floyd-Warshall closure pass over (sup, star),
+    certified by validation; off-diagonal entries that collapse onto the
+    unit step at 0 are redrawn.  An operation other than the built-in stars
+    repeats the pass until it changes nothing.  Raises GenerationFailed when
+    that does not happen under the pass cap or the identity axiom cannot be
+    restored.
     """
     if n < 1:
         raise PreconditionViolated(f"need at least one point, got n={n}")
@@ -325,10 +349,10 @@ def gen_space(
     for i in range(n):
         for j in range(i + 1, n):
             matrix[i][j] = matrix[j][i] = draw()
-    max_sweeps = 10 * n**3
+    max_passes = 10 * n**3
     for _ in range(10):
-        if not _relax_to_triangle(matrix, star, max_sweeps):
-            raise GenerationFailed(f"triangle relaxation did not converge in {max_sweeps} sweeps")
+        if not _close_triangle(matrix, star, max_passes):
+            raise GenerationFailed(f"triangle closure did not converge in {max_passes} passes")
         bad = [
             (i, j)
             for i in range(n)

@@ -23,6 +23,7 @@ from .cdf import (
     StepCdf,
     _envelope,
     approx_equal,
+    is_canonical,
     leq,
     pointwise_sup,
 )
@@ -181,17 +182,6 @@ _STAR_OF = {S.tnorm: S for S in (STAR_MIN, STAR_PROD, STAR_LUKA)}
 BUILTIN_STARS = {name: _STAR_OF[T] for name, T in BUILTIN_TNORMS.items()}
 
 
-def _is_valid_cdf(F) -> bool:
-    if not isinstance(F, StepCdf):
-        return False
-    prev_t, prev_v = -1.0, 0.0
-    for t, v in F.breaks:
-        if not (t >= 0.0 and t > prev_t and prev_v < v <= 1.0):
-            return False
-        prev_t, prev_v = t, v
-    return True
-
-
 @dataclass
 class AxiomReport:
     """Outcome of the five triangle-function axioms over a sample of triples.
@@ -242,7 +232,7 @@ def check_triangle_axioms(
         F, L, K = triple
         report.checked += 1
         FL = star(F, L)
-        if not _is_valid_cdf(FL):
+        if not is_canonical(FL):
             fail("closure", triple)
             continue
         if not approx_equal(FL, star(L, F), tol):

@@ -24,6 +24,10 @@ breakpoints below 2**53.
 The full triangle scan is the library's earlier space validator, kept as a
 cross-check for the pruned scan: it checks every one of the n^3 triples in
 lexicographic order, whatever the star and the matrix.
+
+The sweep relaxation is the repair generator's earlier closure, kept as a
+cross-check for the Floyd-Warshall pass: it repeats full (i < j, q) sweeps
+until one changes nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +38,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from pmspace import H0, TOL, StepCdf, TNorm, approx_equal, evaluate, leq_witness, value_after
+from pmspace import (
+    H0,
+    TOL,
+    StepCdf,
+    TNorm,
+    approx_equal,
+    evaluate,
+    leq,
+    leq_witness,
+    pointwise_sup,
+    value_after,
+)
 from pmspace.errors import (
     DomainMismatch,
     IdentityViolation,
@@ -130,14 +145,24 @@ def bisect_side(F: StepCdf, G: StepCdf) -> float:
 
 def probe_levy_distance(F: StepCdf, G: StepCdf) -> float:
     """The closed-form distance from :func:`bisect_side`, certified by
-    :func:`probe_condition_a` with the library's four-ulp bound."""
+    :func:`probe_condition_a` with the library's bounds: four ulps of h, then
+    four ulps of the largest breakpoint inside the window."""
     if approx_equal(F, G):
         return 0.0
+
+    def accepts(h: float) -> bool:
+        return probe_condition_a(F, G, h) and probe_condition_a(G, F, h)
+
     d = max(bisect_side(F, G), bisect_side(G, F))
-    for _ in range(5):
-        if d == 0.0 or (probe_condition_a(F, G, d) and probe_condition_a(G, F, d)):
+    for _ in range(4):
+        if d == 0.0 or accepts(d):
             return d
         d = math.nextafter(d, 1.0)
+    step = math.ulp(max([d] + [t for t, _ in F.breaks + G.breaks if t <= 1.0 / d]))
+    for _ in range(5):
+        if accepts(d):
+            return d
+        d = min(d + step, 1.0)
     raise ValidationError(f"closed-form Levy distance failed certification near {d}")
 
 
@@ -313,3 +338,23 @@ def full_triangle_scan(points, matrix, star) -> tuple | None:
     except (DomainMismatch, SpaceAxiomViolation) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
     return None
+
+
+def sweep_relax_to_triangle(matrix: list[list[StepCdf]], star, max_sweeps: int) -> bool:
+    """Raise entries until the triangle inequality holds; True on fixpoint."""
+    n = len(matrix)
+    for _ in range(max_sweeps):
+        changed = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                for q in range(n):
+                    if q == i or q == j:
+                        continue
+                    cand = star(matrix[i][q], matrix[q][j])
+                    if not leq(cand, matrix[i][j]):
+                        merged = pointwise_sup([matrix[i][j], cand])
+                        matrix[i][j] = matrix[j][i] = merged
+                        changed = True
+        if not changed:
+            return True
+    return False

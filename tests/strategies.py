@@ -6,7 +6,9 @@ canonicalization on arbitrary coordinates.  The window-edge strategy puts
 every breakpoint in (1, 6), where the Levy window edge 1/b and the shifted
 window end h + 1/h fall on probe radii inside (0, 1].  The near-tie
 strategy pairs a cdf with a copy whose jumps sit within or just beyond the
-canonical tolerance of the original ones.
+canonical tolerance of the original ones.  The shifted-copy strategy pairs a
+float cdf with a copy moved right and scaled down a little, where a probe
+``fl(a - h)`` lands an ulp of a, not of h, from the jump it should reach.
 """
 
 import hypothesis.strategies as st
@@ -85,3 +87,13 @@ def near_ties(draw, max_breaks: int = 4) -> tuple[StepCdf, StepCdf]:
     scale = draw(st.sampled_from([1.0, 0.75, 0.5]))
     G = make_step_cdf((t + s, v * scale) for (t, v), s in zip(F.breaks, shifts))
     return F, G
+
+
+@st.composite
+def shifted_copies(draw, max_breaks: int = 6) -> tuple[StepCdf, StepCdf]:
+    """A float cdf and its copy shifted right by s in (0, 0.5), with values
+    scaled by 1 or 0.97."""
+    F = draw(float_cdfs(max_breaks))
+    s = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    scale = draw(st.sampled_from([1.0, 0.97]))
+    return F, make_step_cdf((t + s, v * scale) for t, v in F.breaks)

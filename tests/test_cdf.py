@@ -216,6 +216,13 @@ class TestQuantize:
         F = make_step_cdf([(0.5, 0.5), (1e200, 1.0)])
         assert quantize(F, 1e-150) == quantize(make_step_cdf([(0.5, 0.5)]), 1e-150)
 
+    @pytest.mark.parametrize("delta", [1e-12, 5e-13, 1e-150])
+    def test_value_slack_below_tolerance_stays_below(self, delta):
+        # a +1e-12 value slack is a grid step or more here, and once lifted
+        # 0.5 to 0.500000000001
+        F = make_step_cdf([(0.5, 0.5), (1e200, 1.0)])
+        assert leq(quantize(F, delta), F, tol=0.0)
+
     @given(cdfs(), st.sampled_from([0.5, 0.25, 0.1, 0.05]))
     def test_below_and_idempotent(self, F, delta):
         Q = quantize(F, delta)

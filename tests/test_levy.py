@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from pmspace import (
     H0,
     HINF,
+    Document,
     condition_a,
     evaluate,
     heaviside,
@@ -22,8 +23,10 @@ from pmspace import (
     make_step_cdf,
     pointwise_sup,
     random_step_cdf,
+    serialize_document,
     uniform_distance,
 )
+from pmspace.cli import run_command
 from pmspace.errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange
 from pmspace.levy import _side
 
@@ -34,7 +37,7 @@ from oracles import (
     probe_condition_a,
     probe_levy_distance,
 )
-from strategies import cdfs, near_ties, window_cdfs
+from strategies import cdfs, near_ties, shifted_copies, window_cdfs
 
 DBL_MAX = sys.float_info.max
 
@@ -45,6 +48,7 @@ levy_pairs = st.one_of(
     st.tuples(window_cdfs(), cdfs()),
     near_ties(),
     near_ties(8),
+    shifted_copies(),
 )
 
 
@@ -121,6 +125,27 @@ class TestWindowOverflow:
         assert condition_a(G, F, d) and condition_a(F, G, d)
 
 
+class TestCertificateSteps:
+    """A probe ``fl(a - h)`` moves in ulps of a: here the closed form is
+    accepted only nine ulps of h up, past the four nextafter steps."""
+
+    F = make_step_cdf([(0.9328090922336781, 0.16307090465304114), (1.9354978047285099, 0.364768695966032),
+                       (2.043698895865794, 0.44434727228035603), (4.832117459711499, 0.4791483210122714)])
+    G = make_step_cdf([(0.8389258199109432, 0.17584253363247462), (1.8416145324057749, 0.39333719172621695),
+                       (1.9498156235430588, 0.4791483210122714)])
+
+    def test_shifted_copy_certifies(self, tmp_path):
+        F, G = self.F, self.G
+        d = levy_distance(F, G)
+        assert condition_a(F, G, d) and condition_a(G, F, d)
+        assert d == levy_distance(G, F) == probe_levy_distance(F, G)
+        assert d <= bisection_levy_distance(F, G) <= d + 1e-10
+        f, g = tmp_path / "f.cdf", tmp_path / "g.cdf"
+        f.write_text(serialize_document(Document("cdf", F, {})))
+        g.write_text(serialize_document(Document("cdf", G, {})))
+        assert run_command(["dl", str(f), str(g)]) == 0
+
+
 class TestLevyDistance:
     def test_identity(self):
         F = make_step_cdf([(0.5, 0.25), (2, 1)])
@@ -151,7 +176,8 @@ class TestLevyDistance:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.tuples(cdfs(), cdfs()), st.tuples(cdfs(8), cdfs(8)),
-                     st.tuples(window_cdfs(), window_cdfs()), st.tuples(window_cdfs(), cdfs())))
+                     st.tuples(window_cdfs(), window_cdfs()), st.tuples(window_cdfs(), cdfs()),
+                     shifted_copies()))
     def test_closed_form_within_bisection_bracket(self, pair):
         # window-edge inputs put breakpoints in (1, 6), where the caps 1/b and
         # the crossings h + 1/h = a fall inside (0, 1]

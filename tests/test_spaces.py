@@ -39,12 +39,12 @@ from pmspace.errors import (
     TriangleViolation,
     UnknownPoint,
 )
-from pmspace import tnorms
+from pmspace import spaces, tnorms
 from pmspace.cli import run_command
 from pmspace.spaces import validate_space_matrix
 from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
-from oracles import full_triangle_scan
+from oracles import full_triangle_scan, sweep_relax_to_triangle
 
 
 def heaviside_space(d, star=STAR_MIN):
@@ -106,7 +106,8 @@ def validation_outcome(points, matrix, star):
     return None
 
 
-def count_star_calls(monkeypatch, points, matrix, star) -> int:
+def counted_star_calls(monkeypatch) -> list:
+    """A list that gains one entry per ``tnorms.sup_convolution`` call."""
     calls = []
     real = tnorms.sup_convolution
 
@@ -115,6 +116,11 @@ def count_star_calls(monkeypatch, points, matrix, star) -> int:
         return real(T, F, L)
 
     monkeypatch.setattr(tnorms, "sup_convolution", counted)
+    return calls
+
+
+def count_star_calls(monkeypatch, points, matrix, star) -> int:
+    calls = counted_star_calls(monkeypatch)
     validate_space_matrix(points, matrix, star)
     return len(calls)
 
@@ -174,6 +180,45 @@ class TestPrunedTriangleScan:
         want = full_triangle_scan(labels, m, STAR_MIN)
         assert want is not None and want[2][:3] == ("a", "a", "b")
         assert validation_outcome(labels, m, STAR_MIN) == want
+
+
+class TestTriangleClosure:
+    """The repair generator closes its matrix with one Floyd-Warshall pass
+    under a built-in star; the result must be the fixpoint of the repeated
+    (i < j, q) sweeps it replaced."""
+
+    SEEDS = random.Random("closure").sample(range(10**6), 6)
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_matches_sweep_oracle(self, monkeypatch, star):
+        for n in range(3, 11):
+            for seed in self.SEEDS:
+                got = gen_space(seed, n, "repair", star)
+                with monkeypatch.context() as m:
+                    m.setattr(spaces, "_close_triangle", sweep_relax_to_triangle)
+                    want = gen_space(seed, n, "repair", star)
+                assert got.matrix == want.matrix
+
+    def test_one_pass_call_count(self, monkeypatch):
+        # n(n-1)(n-2)/2 star calls per pass: every k, every pair i < j off k
+        rng = random.Random("closure-count")
+        n = 7
+        draw = [[None] * n for _ in range(n)]
+        for i in range(n):
+            draw[i][i] = H0
+            for j in range(i + 1, n):
+                draw[i][j] = draw[j][i] = random_step_cdf(rng, 3)
+        per_pass = n * (n - 1) * (n - 2) // 2
+        calls = counted_star_calls(monkeypatch)
+        builtin = [list(row) for row in draw]
+        assert spaces._close_triangle(builtin, STAR_MIN, 10 * n**3)
+        assert len(calls) == per_pass and builtin != draw
+        # the same operation under another instance repeats passes until
+        # one changes nothing: here the second, so one pass was the closure
+        calls.clear()
+        custom = [list(row) for row in draw]
+        assert spaces._close_triangle(custom, star_from_tnorm(MINIMUM), 10 * n**3)
+        assert len(calls) == 2 * per_pass and custom == builtin
 
 
 class TestFromClassicalMetric:

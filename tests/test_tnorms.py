@@ -16,6 +16,7 @@ from pmspace import (
     STAR_LUKA,
     STAR_MIN,
     STAR_PROD,
+    StepCdf,
     TriangleFunction,
     approx_equal,
     check_sup_continuity,
@@ -32,6 +33,7 @@ from pmspace import (
     tnorm_eval,
 )
 from pmspace.errors import ArgOutOfRange, EmptyFamily, PreconditionViolated, ValidationError
+from pmspace.cdf import is_canonical
 from pmspace.tnorms import tnorm_axiom_failures
 
 from oracles import convolution_probes, grid_convolution_bounds
@@ -133,6 +135,19 @@ class TestTriangleAxioms:
         ]
         report = check_triangle_axioms(STAR_PROD, triples, tol=0.0)
         assert report.associativity
+
+    @given(cdfs(8), cdfs(8))
+    def test_builtin_outputs_are_canonical(self, F, L):
+        # so the closure test, now the canonical-form test, still passes them
+        for T in ALL_TNORMS:
+            assert is_canonical(sup_convolution(T, F, L))
+
+    def test_jumps_within_tolerance_fail_closure(self):
+        # two jumps 1e-13 apart are one canonical breakpoint; a strictly
+        # increasing sequence is not enough to count as closed
+        near = TriangleFunction("near", lambda F, L: StepCdf(((1.0, 0.5), (1.0 + 1e-13, 0.9))))
+        report = check_triangle_axioms(near, [(H0, H0, H0)])
+        assert not report.closure and report.counterexamples["closure"] == (H0, H0, H0)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
     def test_bad_tolerance_rejected(self, tol):
