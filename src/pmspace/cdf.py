@@ -226,10 +226,20 @@ def quantize(F: StepCdf, delta: float) -> StepCdf:
 
     The result G has breakpoints on ``{k*delta : k >= 0}`` capped at the time
     horizon ``1/delta``; on each grid cell (k*delta, (k+1)*delta] it takes the
-    value ``floor(F(k*delta+)/delta) * delta``.  Consequences: G <= F, the map
-    is idempotent on its image, and the image for a fixed delta is finite,
-    which is what makes grid keys usable as cluster buckets.  A delta whose
-    horizon is not a finite float (below about 7.5e-155) is rejected.
+    value ``floor(F(k*delta+)/delta) * delta``.  Consequences: G lies below F
+    up to the float slack of the snap (below), the map is idempotent on its
+    image, and the image for a fixed delta is finite, which is what makes
+    grid keys usable as cluster buckets.  A delta whose horizon is not a
+    finite float (below about 7.5e-155) is rejected.
+
+    The slack that absorbs float dirt on coordinates already on the grid
+    makes the order weaker than G <= F.  A value may exceed F's by TOL.  A
+    breakpoint up to ``1e-9*delta`` above a grid point snaps down onto it,
+    and ``k*delta`` rounds, so G may jump before F by ``1e-9*delta`` plus
+    a few ulps.  For ``delta >= 2*TOL`` distinct grid breakpoints never
+    chain, and ``G(t) <= F(t + 1e-9*delta + 4*ulp(t)) + TOL`` for every t.
+    Below that, breakpoints snapped within TOL of each other merge onto the
+    first, which moves a jump further left.
     """
     if not (0.0 < delta <= 1.0):
         raise InvalidDelta(f"delta must lie in (0, 1], got {delta}")

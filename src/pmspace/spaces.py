@@ -91,6 +91,22 @@ def _prunable(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bo
     return True
 
 
+def _unit_step_locations(matrix: Sequence[Sequence[StepCdf]]) -> list[list[float]] | None:
+    """The locations ``a`` when every entry is a unit step ``((a, 1.0),)``,
+    H0 included; None otherwise."""
+    if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in matrix for F in row):
+        return [[F.breaks[0][0] for F in row] for row in matrix]
+    return None
+
+
+def _triangle_violation(points: Sequence, i: int, j: int, k: int, t: float) -> TriangleViolation:
+    p, q, r = points[i], points[j], points[k]
+    return TriangleViolation(
+        f"triangle inequality fails for ({p!r}, {q!r}, {r!r}) at t={t}",
+        witness=(p, q, r, t),
+    )
+
+
 def validate_space_matrix(
     points: Sequence,
     matrix: Sequence[Sequence[StepCdf]],
@@ -108,6 +124,14 @@ def validate_space_matrix(
     everything, and ``(k, j, i)`` computes bit for bit the same check as
     ``(i, j, k)``, so the first failure always has ``i < k`` and the witness
     is the one the full scan reports.  Every other input gets all n^3.
+
+    When such a matrix holds only unit steps H(d) (a classical metric
+    embedded), the pruned scan runs on the locations d and makes no star
+    call.  It is the same check: T(1, 1) = 1 for every t-norm, so
+    ``star(H(a), H(b))`` is H(fl(a + b)), or the empty function when the sum
+    overflows, and ``leq_witness(H(s), H(c))`` is c exactly when s < c.  A
+    triple therefore fails when ``d[i][j] + d[j][k] < d[i][k]``, with
+    witness ``t = d[i][k]``.
     """
     n = len(points)
     if len(set(points)) != n:
@@ -126,9 +150,21 @@ def validate_space_matrix(
             if i < j and not approx_equal(matrix[i][j], matrix[j][i]):
                 raise SymmetryViolation(f"distance between {p!r} and {q!r} is asymmetric", witness=(p, q))
     prune = _prunable(matrix, star)
-    for i, p in enumerate(points):
+    d = _unit_step_locations(matrix) if prune else None
+    if d is not None:
+        for i in range(n):
+            d_i = d[i]
+            for j in range(n):
+                if j == i:
+                    continue
+                d_ij, d_j = d_i[j], d[j]
+                for k in range(i + 1, n):
+                    if k != j and d_ij + d_j[k] < d_i[k]:
+                        raise _triangle_violation(points, i, j, k, d_i[k])
+        return
+    for i in range(n):
         row_i = matrix[i]
-        for j, q in enumerate(points):
+        for j in range(n):
             if prune and j == i:
                 continue
             row_j, d_ij = matrix[j], row_i[j]
@@ -137,11 +173,7 @@ def validate_space_matrix(
                     continue
                 t = leq_witness(star(d_ij, row_j[k]), row_i[k])
                 if t is not None:
-                    r = points[k]
-                    raise TriangleViolation(
-                        f"triangle inequality fails for ({p!r}, {q!r}, {r!r}) at t={t}",
-                        witness=(p, q, r, t),
-                    )
+                    raise _triangle_violation(points, i, j, k, t)
 
 
 def make_space(

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from pmspace import (
@@ -228,6 +228,26 @@ class TestQuantize:
         Q = quantize(F, delta)
         assert leq(Q, F)
         assert quantize(Q, delta) == Q
+
+    # the snap's slack makes G jump before F here: k*delta rounds 0.5 down to
+    # 0.49999999999999994, and 1.50000000045 lies within 1e-9*delta of 1.5
+    SNAPPED_BEFORE_F = [
+        (make_step_cdf([(0.5, 0.5), (1e200, 1.0)]), 1e-11),
+        (make_step_cdf([(1.50000000045, 1.0)]), 0.5),
+    ]
+
+    @pytest.mark.parametrize("F, delta", SNAPPED_BEFORE_F)
+    def test_snap_can_jump_before_f(self, F, delta):
+        assert not leq(quantize(F, delta), F)
+
+    @given(cdfs(), st.sampled_from([0.5, 0.25, 0.1, 0.05, 1e-11]))
+    @example(*SNAPPED_BEFORE_F[0])
+    @example(*SNAPPED_BEFORE_F[1])
+    def test_below_up_to_the_snap_slack(self, F, delta):
+        # G(t) <= F(t + 1e-9*delta + 4*ulp(t)) + TOL; the tightest t is just
+        # after each jump g of G
+        for g, w in quantize(F, delta).breaks:
+            assert value_after(F, g + 1e-9 * delta + 4 * math.ulp(g)) + TOL >= w
 
     @given(cdfs(), st.sampled_from([0.5, 0.25, 0.1]))
     def test_matches_direct_grid_formula(self, F, delta):

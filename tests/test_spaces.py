@@ -151,7 +151,8 @@ class TestPrunedTriangleScan:
         assert raised > 60  # the corrupted copies do exercise the witness
 
     def test_call_count_builtin(self, monkeypatch):
-        sp = gen_space(3, 10, "metric")
+        # repair entries have several jumps, so this is the lattice scan
+        sp = gen_space(3, 10, "repair")
         assert count_star_calls(monkeypatch, sp.points, sp.matrix, STAR_MIN) == 10 * 9 * 8 // 2
 
     def test_call_count_custom_star(self, monkeypatch):
@@ -180,6 +181,86 @@ class TestPrunedTriangleScan:
         want = full_triangle_scan(labels, m, STAR_MIN)
         assert want is not None and want[2][:3] == ("a", "a", "b")
         assert validation_outcome(labels, m, STAR_MIN) == want
+
+
+class TestUnitStepScan:
+    """A pruned matrix of unit steps H(d) is scanned on the locations d with
+    float sums; verdict, message and witness must stay those of the full
+    lattice scan."""
+
+    @staticmethod
+    def corrupted(sp, rng):
+        """Copies of a metric space's matrix with one symmetric pair moved,
+        and one with a point moved to 1e308, where sums through it overflow."""
+        n = len(sp)
+        cases = []
+        for move in (
+            lambda a: math.nextafter(a, math.inf),
+            lambda a: math.nextafter(a, 0.0),
+            lambda a: a * 1.01,
+            lambda a: a * 2.0,
+            lambda a: 1e308,
+        ):
+            m = [list(row) for row in sp.matrix]
+            i, k = rng.sample(range(n), 2)
+            m[i][k] = m[k][i] = heaviside(move(m[i][k].breaks[0][0]))
+            cases.append(m)
+        m = [list(row) for row in sp.matrix]
+        far = rng.randrange(n)
+        for k in range(n):
+            if k != far:
+                m[far][k] = m[k][far] = heaviside(1e308)
+        cases.append(m)
+        return cases
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_matches_full_scan(self, star):
+        rng = random.Random(f"unit-step:{star.name}")
+        raised = 0
+        for n in range(2, 13):
+            for seed in range(3):
+                sp = gen_space(seed, n, "metric", star)
+                for m in [sp.matrix, *self.corrupted(sp, rng)]:
+                    want = full_triangle_scan(sp.points, m, star)
+                    assert validation_outcome(sp.points, m, star) == want
+                    raised += want is not None
+        assert raised > 60  # the corrupted copies do exercise the witness
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_no_star_call_on_a_metric(self, monkeypatch, star):
+        # star_from_tnorm(MINIMUM) on the same space still makes 10^3 calls:
+        # TestPrunedTriangleScan.test_call_count_custom_star
+        sp = gen_space(3, 10, "metric", star)
+        assert count_star_calls(monkeypatch, sp.points, sp.matrix, star) == 0
+
+    def test_jump_below_one_takes_the_lattice_path(self, monkeypatch):
+        # read as H(1), the entry would pass; the lattice sees H(2) above
+        # ((1, 0.5),) past t = 2 and reports the probe t = 3
+        labels = ("a", "b", "c", "d")
+        m = equilateral(4)
+        m[0][2] = m[2][0] = StepCdf(((1.0, 0.5),))
+        want = full_triangle_scan(labels, m, STAR_MIN)
+        assert want is not None and want[2][3] == 3.0
+        calls = counted_star_calls(monkeypatch)
+        assert validation_outcome(labels, m, STAR_MIN) == want
+        assert calls
+
+    def test_skips_the_diagonal(self):
+        # d[j][j] = 0 makes (i, j, j) a check that never fails, so a spy on
+        # the diagonal is the only way to see that the scan skips k == j
+        added = []
+
+        class Zero(float):
+            def __radd__(self, other):
+                added.append(other)
+                return float(other)
+
+        sp = gen_space(1, 6, "metric")
+        m = [list(row) for row in sp.matrix]
+        for i in range(len(m)):
+            m[i][i] = StepCdf(((Zero(0.0), 1.0),))
+        validate_space_matrix(sp.points, m, STAR_MIN)
+        assert added == []
 
 
 class TestTriangleClosure:
