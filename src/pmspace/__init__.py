@@ -40,11 +40,9 @@ from .levy import (
 from .lipschitz import (
     LipschitzCheck,
     LipschitzMap,
-    ModulusEstimate,
     classical_lipschitz_embed,
     delta_embed,
     equicontinuity_bound,
-    estimate_modulus,
     is_one_lipschitz,
     random_lipschitz_map,
     rescale_distance,

@@ -63,7 +63,13 @@ def make_step_cdf(points: Iterable[Sequence[float]]) -> StepCdf:
     """
     cleaned = []
     for t, v in points:
-        t, v = float(t), float(v)
+        try:
+            t = float(t)
+            v = float(v)
+        except OverflowError:  # an integer past the float range
+            if isinstance(t, float):
+                raise ValueOutOfRange("value must lie in (0, 1], got an integer past 1e308") from None
+            raise NegativeBreakpoint("breakpoint must be finite, got an integer past 1e308") from None
         if not math.isfinite(t) or t < 0:
             raise NegativeBreakpoint(f"breakpoint must be a finite nonnegative real, got {t}")
         if not math.isfinite(v) or not (0.0 < v <= 1.0):

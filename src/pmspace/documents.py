@@ -67,6 +67,8 @@ def parse_document(text: str, tnorm_override: str | None = None) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:  # an integer of more than 4300 digits
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("document must be a JSON object")
     kind = obj.get("kind")
@@ -114,7 +116,10 @@ def _report_from_json(obj: dict) -> dict:
         if key in obj:
             if not _is_number(obj[key]):
                 raise ParseError(f"report field {key!r} must be a number")
-            report[key] = float(obj[key])
+            try:
+                report[key] = float(obj[key])
+            except OverflowError:  # an integer past the float range
+                raise ParseError(f"report field {key!r} must be a number below 1e308") from None
     if "selected" in obj:
         sel = obj["selected"]
         if not isinstance(sel, list) or not all(type(i) is int for i in sel):  # not bool

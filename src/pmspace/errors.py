@@ -121,7 +121,3 @@ class GenerationFailed(PmsError):
 
 class InsufficientSequence(PmsError):
     pass
-
-
-class BudgetExhausted(PmsError):
-    pass

@@ -12,28 +12,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cdf import (
     H0,
-    TOL,
     StepCdf,
     heaviside,
     leq,
     leq_witness,
-    make_step_cdf,
     pointwise_sup,
     random_step_cdf,
 )
 from .errors import (
-    BudgetExhausted,
     DomainMismatch,
     EmptySubset,
     NegativeScale,
     PreconditionViolated,
     ValidationError,
 )
-from .levy import _as_mapping, levy_distance, levy_to_h0
+from .levy import _as_mapping, levy_distance
 from .spaces import ProbMetricSpace
 from .tnorms import TriangleFunction
 
@@ -66,7 +63,7 @@ class LipschitzCheck:
         return self.ok
 
 
-def is_one_lipschitz(space: ProbMetricSpace, f, tol: float = TOL) -> LipschitzCheck:
+def is_one_lipschitz(space: ProbMetricSpace, f) -> LipschitzCheck:
     """Exhaustive ordered-pair certificate of the defining inequality."""
     vals = _as_mapping(f)
     for p in space.points:
@@ -76,7 +73,7 @@ def is_one_lipschitz(space: ProbMetricSpace, f, tol: float = TOL) -> LipschitzCh
     for x in space.points:
         fx = vals[x]
         for y in space.points:
-            t = leq_witness(star(space.dist(x, y), vals[y]), fx, tol)
+            t = leq_witness(star(space.dist(x, y), vals[y]), fx)
             if t is not None:
                 return LipschitzCheck(False, (x, y, t))
     return LipschitzCheck(True)
@@ -137,6 +134,19 @@ def equicontinuity_bound(
     Requires both relations ``star(Dxy, Fy) <= Fx`` and ``star(Dxy, Fx) <= Fy``;
     returns (distance between the values, max of the two perturbation
     distances).  The first never exceeds the second.
+
+    The perturbation distances are bounded by the distance itself: for every
+    t-norm T >= W, the Lukasiewicz t-norm, which holds for min, product and W
+    itself, ``d_L(star(D, F), F) <= d_L(D, H0)`` for all D and F.  So the
+    equicontinuity modulus of the 1-Lipschitz maps is exactly eta(eps) = eps.
+    Proof: D <= H0 gives star(D, F) <= F, so one side holds at every radius.
+    For the other, let h be the attained radius, with D(h+) >= 1 - h; letting
+    s decrease to h and u increase to t gives
+    ``star(D, F)(t + h) >= T(D(s), F(u)) >= D(s) + F(u) - 1``, which tends to
+    at least F(t) - h.  In floating point :func:`levy_distance`'s certificate
+    steps add a few ulps, and the Lukasiewicz star as computed adds up to
+    2^-53 more: it rounds x + y before subtracting 1, so it can fall below W
+    by that much, and then the bound fails by that rounding.
     """
     if not leq(star(Dxy, Fy), Fx) or not leq(star(Dxy, Fx), Fy):
         raise PreconditionViolated("both Lipschitz relations must hold for the pair")
@@ -146,54 +156,6 @@ def equicontinuity_bound(
         levy_distance(star(Dxy, Fy), Fy),
     )
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    eta: float
-    samples: int
-
-
-def estimate_modulus(
-    star: TriangleFunction,
-    eps: float,
-    sampler: Callable[[], StepCdf],
-    budget: int,
-    max_halvings: int = 20,
-) -> ModulusEstimate:
-    """Empirical uniform-continuity modulus: the largest eta in {eps/2^k}
-    such that every sampled pair (D, F) with the perturbation D within eta of
-    the unit step at 0 kept ``star(D, F)`` within eps of F.
-
-    An estimate backed by ``budget`` samples per grid value, not a
-    certificate.  Sampled perturbations that are not already small enough are
-    shrunk by joining a near-origin bump, which preserves the rest of their
-    shape.
-    """
-    if not (0.0 < eps <= 1.0):
-        raise PreconditionViolated(f"eps must lie in (0, 1], got {eps}")
-    if budget < 1:
-        raise PreconditionViolated(f"budget must be positive, got {budget}")
-    total = 0
-    eta = eps
-    for _ in range(max_halvings):
-        ok = True
-        for i in range(budget):
-            base = sampler()
-            F = sampler()
-            total += 2
-            if levy_to_h0(base) < eta:
-                D = base
-            else:
-                r = eta * (0.1 + 0.8 * (i + 1) / (budget + 1))
-                D = pointwise_sup([base, make_step_cdf([(r, 1.0 - r)])])
-            if levy_distance(star(D, F), F) >= eps:
-                ok = False
-                break
-        if ok:
-            return ModulusEstimate(eta, total)
-        eta *= 0.5
-    raise BudgetExhausted(f"no grid value down to {eta} passed {budget} samples")
 
 
 def classical_lipschitz_embed(space: ProbMetricSpace, L: Mapping) -> LipschitzMap:

@@ -21,6 +21,7 @@ from .cdf import (
     StepCdf,
     approx_equal,
     evaluate,
+    heaviside,
     is_canonical,
     leq,
     leq_witness,
@@ -193,9 +194,13 @@ def from_classical_metric(
 ) -> ProbMetricSpace:
     """Embed a classical finite metric as unit steps at the distances.
 
-    Requires the classical triangle inequality to hold in floating point
-    exactly (the induced step-function triangle check is exact), and the
-    operation to add step locations on the distance values that occur.
+    Checks the shape, the zero diagonal, exact symmetry and positivity of d
+    here; validation in :func:`make_space` is the triangle check, which on
+    unit steps under a built-in star is ``d[i][j] + d[j][k] < d[i][k]`` in
+    floating point and raises TriangleViolation.  A built-in star adds step
+    locations (``star(H(a), H(b))`` is H(fl(a + b)), see
+    :func:`validate_space_matrix`); any other operation must do so on the
+    distance values that occur.
     """
     n = len(points)
     if len(d) != n or any(len(row) != n for row in d):
@@ -208,32 +213,30 @@ def from_classical_metric(
                 raise NotAMetric("metric is asymmetric", witness=(points[i], points[j]))
             if i != j and not d[i][j] > 0.0:
                 raise NotAMetric("distinct points at distance 0", witness=(points[i], points[j]))
-            for k in range(n):
-                if d[i][k] > d[i][j] + d[j][k]:
-                    raise NotAMetric(
-                        "triangle inequality fails",
-                        witness=(points[i], points[j], points[k]),
+    if not _is_builtin(star):
+        values = sorted({d[i][j] for i in range(n) for j in range(n) if i != j})
+        for a in values:
+            for b in values:
+                if not approx_equal(star(heaviside(a), heaviside(b)), heaviside(a + b)):
+                    raise StarNotAdditiveOnHeaviside(
+                        f"operation does not add step locations at ({a}, {b})"
                     )
-    from .cdf import heaviside
-
-    values = sorted({d[i][j] for i in range(n) for j in range(n) if i != j})
-    for a in values:
-        for b in values:
-            if not approx_equal(star(heaviside(a), heaviside(b)), heaviside(a + b)):
-                raise StarNotAdditiveOnHeaviside(
-                    f"operation does not add step locations at ({a}, {b})"
-                )
     matrix = [[heaviside(d[i][j]) if i != j else H0 for j in range(n)] for i in range(n)]
     return make_space(points, matrix, star)
 
 
 def strong_neighborhood(space: ProbMetricSpace, x, t: float) -> tuple:
-    """Points y with D(x,y)(t) > 1 - t, in point order.  Always contains x."""
+    """Points y with D(x,y)(t) > 1 - t, in point order.
+
+    Always contains x, whose distance to itself is the unit step at 0 by the
+    identity axiom; the float test would miss it for a diagonal entry that
+    jumps within TOL after 0, and for every t at which ``1.0 - t`` rounds to 1.
+    """
     if not (t > 0.0):  # also rejects NaN
         raise PreconditionViolated(f"neighborhood radius must be positive, got {t}")
     i = space.index(x)
     row = space.matrix[i]
-    return tuple(y for j, y in enumerate(space.points) if evaluate(row[j], t) > 1.0 - t)
+    return tuple(y for j, y in enumerate(space.points) if j == i or evaluate(row[j], t) > 1.0 - t)
 
 
 def is_cauchy(space: ProbMetricSpace, seq: Sequence, tol: float, tail: int) -> bool:

@@ -26,6 +26,7 @@ from .cdf import (
     is_canonical,
     leq,
     pointwise_sup,
+    random_step_cdf,
 )
 from .errors import ArgOutOfRange, EmptyFamily, PreconditionViolated, ValidationError
 from .levy import is_weak_limit, levy_distance
@@ -296,8 +297,6 @@ def random_triples(
     rng: random.Random, count: int, max_breaks: int = 4, grid: bool = True
 ) -> list[tuple[StepCdf, StepCdf, StepCdf]]:
     """Seeded triples for the axiom validators."""
-    from .cdf import random_step_cdf
-
     return [
         (
             random_step_cdf(rng, max_breaks, grid),

@@ -28,12 +28,18 @@ lexicographic order, whatever the star and the matrix.
 The sweep relaxation is the repair generator's earlier closure, kept as a
 cross-check for the Floyd-Warshall pass: it repeats full (i < j, q) sweeps
 until one changes nothing.
+
+The modulus sampler is the library's earlier equicontinuity estimate, kept
+as a cross-check for the theorem that the modulus is exactly eta = eps for
+every t-norm T >= W: it halves eta from eps until a budget of sampled
+perturbations passes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,12 +53,16 @@ from pmspace import (
     evaluate,
     leq,
     leq_witness,
+    levy_distance,
+    levy_to_h0,
+    make_step_cdf,
     pointwise_sup,
     value_after,
 )
 from pmspace.errors import (
     DomainMismatch,
     IdentityViolation,
+    PreconditionViolated,
     ProbeOutOfRange,
     SpaceAxiomViolation,
     SymmetryViolation,
@@ -358,3 +368,55 @@ def sweep_relax_to_triangle(matrix: list[list[StepCdf]], star, max_sweeps: int) 
         if not changed:
             return True
     return False
+
+
+@dataclass(frozen=True)
+class ModulusEstimate:
+    eta: float
+    samples: int
+
+
+class BudgetExhausted(Exception):
+    pass
+
+
+def estimate_modulus(
+    star,
+    eps: float,
+    sampler: Callable[[], StepCdf],
+    budget: int,
+    max_halvings: int = 20,
+) -> ModulusEstimate:
+    """Empirical uniform-continuity modulus: the largest eta in {eps/2^k}
+    such that every sampled pair (D, F) with the perturbation D within eta of
+    the unit step at 0 kept ``star(D, F)`` within eps of F.
+
+    An estimate backed by ``budget`` samples per grid value, not a
+    certificate.  Sampled perturbations that are not already small enough are
+    shrunk by joining a near-origin bump, which preserves the rest of their
+    shape.
+    """
+    if not (0.0 < eps <= 1.0):
+        raise PreconditionViolated(f"eps must lie in (0, 1], got {eps}")
+    if budget < 1:
+        raise PreconditionViolated(f"budget must be positive, got {budget}")
+    total = 0
+    eta = eps
+    for _ in range(max_halvings):
+        ok = True
+        for i in range(budget):
+            base = sampler()
+            F = sampler()
+            total += 2
+            if levy_to_h0(base) < eta:
+                D = base
+            else:
+                r = eta * (0.1 + 0.8 * (i + 1) / (budget + 1))
+                D = pointwise_sup([base, make_step_cdf([(r, 1.0 - r)])])
+            if levy_distance(star(D, F), F) >= eps:
+                ok = False
+                break
+        if ok:
+            return ModulusEstimate(eta, total)
+        eta *= 0.5
+    raise BudgetExhausted(f"no grid value down to {eta} passed {budget} samples")

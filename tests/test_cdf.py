@@ -59,6 +59,13 @@ class TestMakeStepCdf:
         with pytest.raises(NegativeBreakpoint):
             make_step_cdf([(math.nan, 0.5)])
 
+    def test_integer_past_the_float_range_rejected(self):
+        # float() of such an int raises OverflowError, which is no PmsError
+        with pytest.raises(NegativeBreakpoint):
+            make_step_cdf([(10**400, 0.5)])
+        with pytest.raises(ValueOutOfRange):
+            make_step_cdf([(0.5, -(10**400))])
+
     @pytest.mark.parametrize("v", [0.0, -0.2, 1.1, math.nan])
     def test_value_out_of_range_rejected(self, v):
         with pytest.raises(ValueOutOfRange):

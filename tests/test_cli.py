@@ -1,12 +1,19 @@
 """Command surface: dispatch, exit codes, determinism."""
 
+import contextlib
+import io
+import json
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from pmspace import make_step_cdf, parse_document, quantize
+from pmspace import BUILTIN_STARS, Document, gen_space, make_step_cdf, parse_document, quantize, serialize_document
 from pmspace.cli import run_command
+
+from strategies import cdfs, shifted_copies, window_cdfs
 
 
 def run(capsys, *argv):
@@ -204,6 +211,21 @@ class TestExitCodes:
         code, out, _ = run(capsys, "quantize", str(f), "--delta", "1e-150")
         assert code == 0 and parse_document(out).payload == quantize(make_step_cdf([(0.5, 0.5)]), 1e-150)
 
+    @pytest.mark.parametrize("digits, code, error", [(400, 1, "NegativeBreakpoint"), (5000, 2, "parse error")])
+    def test_integer_past_the_float_range(self, capsys, tmp_path, digits, code, error):
+        # float() refuses an int past 1e308, and json int() one of more than 4300 digits
+        f = tmp_path / "f.cdf"
+        f.write_text('{"kind":"cdf","points":[[1' + "0" * digits + ",1]]}")
+        got, out, err = run(capsys, "dl", str(f), str(f))
+        assert got == code and out == "" and error in err
+
+    def test_long_integer_labels_keep_their_digits(self, capsys, tmp_path):
+        a, b = 10**301, 10**301 + 1
+        f = tmp_path / "s.pms"
+        f.write_text(json.dumps({"kind": "space", "points": [a, b], "dist": [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[0, 1]]]]}))
+        code, out, _ = run(capsys, "net", str(f), "--t", "0.5")
+        assert code == 0 and sorted(out.split()) == sorted([str(a), str(b)])
+
 
 class TestDeterminism:
     def test_byte_identical_generation(self, capsys):
@@ -233,3 +255,128 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "boundary: ok" in proc.stdout
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+# special floats, integers past the float range, and booleans (which JSON
+# loads as a subclass of int)
+_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300, 1e-12, 2e-12, 2.0**53, 1e308]),
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_valid_points = st.one_of(cdfs(), window_cdfs()).map(lambda F: [[t, v] for t, v in F.breaks])
+# half of the draws are valid, so the commands also run past parsing
+_points = st.one_of(
+    _valid_points,
+    _valid_points,
+    st.lists(st.lists(_numbers, min_size=2, max_size=2), max_size=4),
+    _json,
+)
+_labels = st.one_of(
+    st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from(["a", "b", "", 1, None]), max_size=4),  # duplicates, empty, odd
+)
+
+
+@st.composite
+def _space_obj(draw):
+    if draw(st.booleans()):  # a valid space, so the commands run past loading it
+        seed, n = draw(st.integers(0, 99)), draw(st.integers(1, 5))
+        model = draw(st.sampled_from(["metric", "repair"]))
+        star = BUILTIN_STARS[draw(st.sampled_from(["min", "prod", "luka"]))]
+        return json.loads(serialize_document(Document("space", gen_space(seed, n, model, star), {})))
+    labels = draw(_labels)
+    n = len(labels)
+    if draw(st.booleans()):  # symmetric unit steps, valid when the locations are a metric
+        loc = st.one_of(st.sampled_from([1.0, 1.5, 2.0]), _numbers)
+        d = {(i, j): draw(loc) for i in range(n) for j in range(i + 1, n)}
+        dist = [[[[d[min(i, j), max(i, j)] if i != j else 0.0, 1.0]] for j in range(n)] for i in range(n)]
+    else:
+        dist = draw(st.lists(st.lists(_points, min_size=n, max_size=n), min_size=n, max_size=n) | _json)
+    obj = {"kind": "space", "points": labels, "dist": dist}
+    if draw(st.booleans()):
+        obj["tnorm"] = draw(st.sampled_from(["min", "prod", "luka", "max", 1]))
+    return obj
+
+
+_scalars = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "nan", "-nan", "inf", "-inf", "1e-320", "1e-12", "0.05", "0.5", "2"]),
+    st.floats(1e-3, 1.0).map(repr),
+    st.floats().map(repr),
+)
+_other_docs = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["report", "map", "map_sequence", "space", "cdf", "x"])},
+    optional={
+        key: _json
+        for key in ("eps", "pairwise_dinf", "selected", "success", "walk", "limit", "values", "maps", "meta")
+    },
+)
+
+
+def _cdf_doc(draw, points) -> str:
+    """A cdf document on the given points, now and then a document of any
+    kind with arbitrary fields."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(_other_docs))
+    return json.dumps({"kind": "cdf", "points": points})
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with file names, {file name: text}) for one command."""
+    command = draw(st.sampled_from(["dl", "conv", "sup", "quantize", "check-space", "check-lip", "net"]))
+    if command in ("dl", "conv", "sup"):
+        if draw(st.booleans()):
+            F, G = draw(shifted_copies())
+            F, G = [list(p) for p in F.breaks], [list(p) for p in G.breaks]
+        else:
+            F, G = draw(_points), draw(_points)
+        docs = {"f.cdf": _cdf_doc(draw, F), "g.cdf": _cdf_doc(draw, G)}
+        argv = [command, "f.cdf", "g.cdf"]
+        if command == "conv":
+            argv += ["--tnorm", draw(st.sampled_from(["min", "prod", "luka"]))]
+        return argv, docs
+    if command == "quantize":
+        return ["quantize", "f.cdf", "--delta=" + draw(_scalars)], {"f.cdf": _cdf_doc(draw, draw(_points))}
+    space = draw(_space_obj())
+    docs = {"s.pms": json.dumps(space)}
+    if command == "check-space":
+        return ["check-space", "s.pms"], docs
+    if command == "net":
+        return ["net", "s.pms", "--t=" + draw(_scalars)], docs
+    keys = [str(p) for p in space["points"]] + ["z"]
+    values = draw(st.dictionaries(st.sampled_from(keys), _points, max_size=len(keys)) | _json)
+    docs["f.map"] = json.dumps({"kind": "map", "values": values})
+    return ["check-lip", "s.pms", "f.map"], docs
+
+
+_EMITS_DOCUMENT = ("conv", "sup", "quantize")
+
+
+class TestFuzz:
+    """Arbitrary documents and arguments, run in-process: the exit code is
+    0, 1 or 2, no exception escapes, and every emitted document reads back
+    to the same text."""
+
+    @settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_invocations())
+    def test_commands(self, tmp_path, case):
+        argv, docs = case
+        for name, text in docs.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in docs else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        assert code in (0, 1, 2)
+        if code == 0 and argv[0] in _EMITS_DOCUMENT:
+            text = out.getvalue()
+            assert serialize_document(parse_document(text)) == text

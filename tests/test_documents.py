@@ -54,6 +54,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_document('{"kind":"report",%s}' % field)
 
+    @pytest.mark.parametrize("field", ["eps", "pairwise_dinf"])
+    def test_report_number_past_the_float_range_rejected(self, field):
+        # float() of a 400-digit int raises OverflowError, which is no PmsError
+        with pytest.raises(ParseError):
+            parse_document('{"kind":"report","%s":1%s}' % (field, "0" * 400))
+
     def test_invalid_cdf_values_rejected(self):
         with pytest.raises(ValidationError):
             parse_document('{"kind":"cdf","points":[[1,2.0]]}')

@@ -308,8 +308,10 @@ class TestFromClassicalMetric:
         assert len(sp) == 3
 
     def test_triangle_failure_rejected(self):
-        with pytest.raises(NotAMetric):
+        # validation is the triangle check: 1 + 1 < 3 fails at t = 3
+        with pytest.raises(TriangleViolation) as err:
             heaviside_space([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        assert err.value.witness == ("p0", "p1", "p2", 3.0)
 
     def test_single_point(self):
         sp = heaviside_space([[0.0]])
@@ -318,6 +320,14 @@ class TestFromClassicalMetric:
     def test_zero_distance_rejected(self):
         with pytest.raises(NotAMetric):
             heaviside_space([[0.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_no_star_call_under_a_builtin_star(self, monkeypatch, star):
+        # a built-in star adds step locations, so the additivity check is
+        # left to operations of other kinds
+        calls = counted_star_calls(monkeypatch)
+        gen_space(0, 24, "metric", star)
+        assert calls == []
 
     def test_non_additive_star_rejected(self):
         # an operation that forgets the second distance cannot embed a metric
@@ -338,6 +348,18 @@ class TestStrongNeighborhood:
             got = set(strong_neighborhood(sp, "p1", t))
             want = {p for p in sp.points if (sp.dist("p1", p).breaks or ((0, 1),))[0][0] < t}
             assert got == want
+
+    @pytest.mark.parametrize("t", [1e-320, 1e-17])
+    def test_contains_center_when_one_minus_t_rounds_to_one(self, t):
+        sp = heaviside_space(PATH3)
+        assert strong_neighborhood(sp, "p0", t) == ("p0",)
+        assert covering_net(sp, t) == sp.points
+
+    def test_contains_center_below_a_diagonal_jump_within_tol(self):
+        # the identity axiom accepts a diagonal jump within TOL after 0
+        near_h0 = StepCdf(((5e-13, 1.0),))
+        sp = make_space(("a", "b"), [[near_h0, heaviside(1.0)], [heaviside(1.0), H0]], STAR_MIN)
+        assert strong_neighborhood(sp, "a", 1e-13) == ("a",)
 
     def test_radius_above_one_covers_everything(self):
         sp = heaviside_space(PATH3)
