@@ -29,15 +29,21 @@ from .cdf import H0, INF, StepCdf, approx_equal
 from .errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange, ValidationError
 
 
-def _as_mapping(f) -> Mapping:
-    # a plain mapping, or anything carrying one under .values (dict.values is
-    # a method, so the Mapping check must come first)
-    if isinstance(f, Mapping):
-        return f
-    vals = getattr(f, "values", None)
-    if isinstance(vals, Mapping):
-        return vals
-    raise DomainMismatch(f"expected a mapping point -> cdf, got {type(f).__name__}")
+def _values_at(f, points: Sequence, missing: str) -> list[StepCdf]:
+    """f's values at ``points``; f is a mapping point -> StepCdf or carries one
+    under ``.values`` (dict.values is a method, so Mapping is tested first).
+    DomainMismatch otherwise, and ``f"{missing} {x!r}"`` for a point x with no value."""
+    vals = f if isinstance(f, Mapping) else getattr(f, "values", None)
+    if not isinstance(vals, Mapping):
+        raise DomainMismatch(f"expected a mapping point -> cdf, got {type(f).__name__}")
+    values = []
+    for x in points:
+        if x not in vals:
+            raise DomainMismatch(f"{missing} {x!r}")
+        values.append(vals[x])
+        if not isinstance(values[-1], StepCdf):
+            raise DomainMismatch(f"value at {x!r} is not a step cdf, got {type(values[-1]).__name__}")
+    return values
 
 
 def condition_a(F: StepCdf, G: StepCdf, h: float) -> bool:
@@ -185,21 +191,12 @@ def levy_to_h0(F: StepCdf) -> float:
 
 
 def uniform_distance(f, g, points: Sequence) -> float:
-    """Largest per-point distance between two maps into the lattice.
-
-    Accepts anything with a ``values`` mapping (a certified Lipschitz map) or
-    a plain mapping point -> StepCdf.
-    """
-    fv = _as_mapping(f)
-    gv = _as_mapping(g)
-    worst = 0.0
-    for x in points:
-        try:
-            Fx, Gx = fv[x], gv[x]
-        except KeyError as exc:
-            raise DomainMismatch(f"map not defined at point {x!r}") from exc
-        worst = max(worst, levy_distance(Fx, Gx))
-    return worst
+    """Largest per-point distance between two maps into the lattice, each a
+    plain mapping point -> StepCdf or anything with a ``values`` mapping."""
+    points = list(points)
+    fs = _values_at(f, points, "map not defined at point")
+    gs = _values_at(g, points, "map not defined at point")
+    return max([0.0] + [levy_distance(F, G) for F, G in zip(fs, gs)])
 
 
 def is_weak_limit(seq: Iterable[StepCdf], F: StepCdf, tol: float, tail: int) -> bool:

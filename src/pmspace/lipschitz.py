@@ -19,7 +19,6 @@ from .cdf import (
     StepCdf,
     heaviside,
     leq,
-    leq_witness,
     pointwise_sup,
     random_step_cdf,
 )
@@ -30,8 +29,8 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .levy import _as_mapping, levy_distance
-from .spaces import ProbMetricSpace
+from .levy import _values_at, levy_distance
+from .spaces import ProbMetricSpace, _triangle_failure
 from .tnorms import TriangleFunction
 
 
@@ -64,19 +63,15 @@ class LipschitzCheck:
 
 
 def is_one_lipschitz(space: ProbMetricSpace, f) -> LipschitzCheck:
-    """Exhaustive ordered-pair certificate of the defining inequality."""
-    vals = _as_mapping(f)
-    for p in space.points:
-        if p not in vals:
-            raise DomainMismatch(f"map not defined at point {p!r}")
-    star = space.star
-    for x in space.points:
-        fx = vals[x]
-        for y in space.points:
-            t = leq_witness(star(space.dist(x, y), vals[y]), fx)
-            if t is not None:
-                return LipschitzCheck(False, (x, y, t))
-    return LipschitzCheck(True)
+    """Exhaustive ordered-pair certificate: the triangle scan
+    :func:`_triangle_failure` at a point * added with ``D(x, *) = f(x)``."""
+    values = _values_at(f, space.points, "map not defined at point")
+    m = [(*row, F) for row, F in zip(space.matrix, values)]
+    failure = _triangle_failure(m, space.star, len(m))
+    if failure is None:
+        return LipschitzCheck(True)
+    i, j, _, t = failure
+    return LipschitzCheck(False, (space.points[i], space.points[j], t))
 
 
 def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> LipschitzMap:
@@ -89,14 +84,12 @@ def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> Lipschit
     anchors = list(A)
     if not anchors:
         raise EmptySubset("extension needs a nonempty anchor set")
-    vals = _as_mapping(f)
     for a in anchors:
         space.index(a)  # raises UnknownPoint for strays
-        if a not in vals:
-            raise DomainMismatch(f"partial map not defined at anchor {a!r}")
+    values = _values_at(f, anchors, "partial map not defined at anchor")
     star = space.star
     extended = {
-        x: pointwise_sup([star(vals[y], space.dist(x, y)) for y in anchors])
+        x: pointwise_sup([star(F, space.dist(x, y)) for y, F in zip(anchors, values)])
         for x in space.points
     }
     result = LipschitzMap(space, extended)

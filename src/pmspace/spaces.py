@@ -75,19 +75,19 @@ def _is_builtin(star: TriangleFunction) -> bool:
     return any(star is S for S in (STAR_MIN, STAR_PROD, STAR_LUKA))
 
 
-def _prunable(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bool:
-    """True when the triangle scan may skip triples implied by the others:
-    a built-in star, an exact H0 diagonal, and exactly symmetric canonical
-    entries off it.  O(n^2 m)."""
+def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> bool:
+    """True when :func:`_triangle_failure` may skip triples: a built-in star,
+    an exact H0 diagonal, and canonical entries, exactly symmetric for k < n,
+    in the scanned columns ``k >= max(k0, i + 1)``."""
     if not _is_builtin(star):
         return False
-    n = len(matrix)
+    n = len(m)
     for i in range(n):
-        if matrix[i][i] != H0:
+        if m[i][i] != H0:
             return False
-        for k in range(i + 1, n):
-            F = matrix[i][k]
-            if F != matrix[k][i] or not is_canonical(F):
+        for k in range(max(k0, i + 1), len(m[i])):
+            F = m[i][k]
+            if (k < n and F != m[k][i]) or not is_canonical(F):
                 return False
     return True
 
@@ -100,12 +100,57 @@ def _unit_step_locations(matrix: Sequence[Sequence[StepCdf]]) -> list[list[float
     return None
 
 
-def _triangle_violation(points: Sequence, i: int, j: int, k: int, t: float) -> TriangleViolation:
-    p, q, r = points[i], points[j], points[k]
-    return TriangleViolation(
-        f"triangle inequality fails for ({p!r}, {q!r}, {r!r}) at t={t}",
-        witness=(p, q, r, t),
-    )
+def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> tuple | None:
+    """The first ``(i, j, k, t)`` in lexicographic order with
+    ``star(m[i][j], m[j][k]) <= m[i][k]`` failing at t, or None.
+
+    m is n x (n + c); i and j index the square block, k the columns from k0
+    on.  Validation scans k0 = 0.  The Lipschitz certificate appends f as
+    column n, a point * with ``D(x, *) = f(x)``, and scans k0 = n.
+
+    When :func:`_prunable` holds, only ``k > i`` with j not in ``{i, k}`` is
+    visited: n(n-1)(n-2)/2 star calls, not n^3, for a space and n(n-1), not
+    n^2, for a map.  The skipped triples cannot fail: ``star(H0, F)``
+    reproduces a canonical F (within one rounding under Lukasiewicz), H0
+    bounds everything, and for k < i in the square ``(k, j, i)`` computes bit
+    for bit the same check, so the first failure of the full scan is kept.
+
+    When such a matrix holds only unit steps H(d) (a classical metric, or a
+    classically Lipschitz map, lifted), the scan reads the locations d and
+    makes no star call: T(1, 1) = 1 for every t-norm, so ``star(H(a), H(b))``
+    is H(fl(a + b)), or empty when the sum overflows, and the witness of
+    ``H(s) <= H(c)`` is c exactly when s < c.  A triple fails at
+    ``t = d[i][k]`` when ``d[i][j] + d[j][k] < d[i][k]``.
+    """
+    n = len(m)
+    prune = _prunable(m, star, k0)
+    d = _unit_step_locations(m) if prune else None
+    if d is not None:
+        for i in range(n):
+            d_i = d[i]
+            ks = range(max(k0, i + 1), len(d_i))
+            for j in range(n):
+                if j == i:
+                    continue
+                d_ij, d_j = d_i[j], d[j]
+                for k in ks:
+                    if k != j and d_ij + d_j[k] < d_i[k]:
+                        return i, j, k, d_i[k]
+        return None
+    for i in range(n):
+        row_i = m[i]
+        ks = range(max(k0, i + 1) if prune else k0, len(row_i))
+        for j in range(n):
+            if prune and j == i:
+                continue
+            row_j, d_ij = m[j], row_i[j]
+            for k in ks:
+                if prune and k == j:
+                    continue
+                t = leq_witness(star(d_ij, row_j[k]), row_i[k])
+                if t is not None:
+                    return i, j, k, t
+    return None
 
 
 def validate_space_matrix(
@@ -114,26 +159,7 @@ def validate_space_matrix(
     star: TriangleFunction,
 ) -> None:
     """Raise the first violated axiom with a witness; return None when valid.
-
-    The triangle inequality is scanned over triples ``(i, j, k)`` in
-    lexicographic order and the first failing triple is reported.  For a
-    built-in star on an exactly symmetric matrix of canonical entries with
-    an exact H0 diagonal (see :func:`_prunable`) the scan visits only
-    ``i < k`` with ``j`` not in ``{i, k}``: n(n-1)(n-2)/2 star calls instead
-    of n^3.  The skipped triples cannot fail: ``star(H0, F)`` reproduces a
-    canonical F (within one rounding under Lukasiewicz), H0 bounds
-    everything, and ``(k, j, i)`` computes bit for bit the same check as
-    ``(i, j, k)``, so the first failure always has ``i < k`` and the witness
-    is the one the full scan reports.  Every other input gets all n^3.
-
-    When such a matrix holds only unit steps H(d) (a classical metric
-    embedded), the pruned scan runs on the locations d and makes no star
-    call.  It is the same check: T(1, 1) = 1 for every t-norm, so
-    ``star(H(a), H(b))`` is H(fl(a + b)), or the empty function when the sum
-    overflows, and ``leq_witness(H(s), H(c))`` is c exactly when s < c.  A
-    triple therefore fails when ``d[i][j] + d[j][k] < d[i][k]``, with
-    witness ``t = d[i][k]``.
-    """
+    The triangle inequality is the scan :func:`_triangle_failure` with k0 = 0."""
     n = len(points)
     if len(set(points)) != n:
         raise DomainMismatch("point labels must be distinct")
@@ -150,31 +176,13 @@ def validate_space_matrix(
                 )
             if i < j and not approx_equal(matrix[i][j], matrix[j][i]):
                 raise SymmetryViolation(f"distance between {p!r} and {q!r} is asymmetric", witness=(p, q))
-    prune = _prunable(matrix, star)
-    d = _unit_step_locations(matrix) if prune else None
-    if d is not None:
-        for i in range(n):
-            d_i = d[i]
-            for j in range(n):
-                if j == i:
-                    continue
-                d_ij, d_j = d_i[j], d[j]
-                for k in range(i + 1, n):
-                    if k != j and d_ij + d_j[k] < d_i[k]:
-                        raise _triangle_violation(points, i, j, k, d_i[k])
-        return
-    for i in range(n):
-        row_i = matrix[i]
-        for j in range(n):
-            if prune and j == i:
-                continue
-            row_j, d_ij = matrix[j], row_i[j]
-            for k in range(i + 1 if prune else 0, n):
-                if prune and k == j:
-                    continue
-                t = leq_witness(star(d_ij, row_j[k]), row_i[k])
-                if t is not None:
-                    raise _triangle_violation(points, i, j, k, t)
+    failure = _triangle_failure(matrix, star, 0)
+    if failure is not None:
+        i, j, k, t = failure
+        p, q, r = points[i], points[j], points[k]
+        raise TriangleViolation(
+            f"triangle inequality fails for ({p!r}, {q!r}, {r!r}) at t={t}", witness=(p, q, r, t)
+        )
 
 
 def make_space(

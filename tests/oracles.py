@@ -25,6 +25,11 @@ The full triangle scan is the library's earlier space validator, kept as a
 cross-check for the pruned scan: it checks every one of the n^3 triples in
 lexicographic order, whatever the star and the matrix.
 
+The pairwise Lipschitz scan is the library's earlier map certificate, kept
+as a cross-check for the triangle scan with the map as an added column: it
+checks every ordered pair (x, y) in point order, whatever the star and the
+values.
+
 The sweep relaxation is the repair generator's earlier closure, kept as a
 cross-check for the Floyd-Warshall pass: it repeats full (i < j, q) sweeps
 until one changes nothing.
@@ -40,12 +45,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from pmspace import (
     H0,
+    LipschitzCheck,
     TOL,
     StepCdf,
     TNorm,
@@ -348,6 +354,22 @@ def full_triangle_scan(points, matrix, star) -> tuple | None:
     except (DomainMismatch, SpaceAxiomViolation) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
     return None
+
+
+def pairwise_lipschitz_scan(space, f) -> LipschitzCheck:
+    """Certificate of ``star(D(x,y), f(y)) <= f(x)`` over every ordered pair."""
+    vals = f if isinstance(f, Mapping) else f.values
+    for p in space.points:
+        if p not in vals:
+            raise DomainMismatch(f"map not defined at point {p!r}")
+    star = space.star
+    for x in space.points:
+        fx = vals[x]
+        for y in space.points:
+            t = leq_witness(star(space.dist(x, y), vals[y]), fx)
+            if t is not None:
+                return LipschitzCheck(False, (x, y, t))
+    return LipschitzCheck(True)
 
 
 def sweep_relax_to_triangle(matrix: list[list[StepCdf]], star, max_sweeps: int) -> bool:

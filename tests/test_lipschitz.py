@@ -14,7 +14,9 @@ from pmspace import (
     STAR_LUKA,
     STAR_MIN,
     STAR_PROD,
+    LipschitzCheck,
     LipschitzMap,
+    StepCdf,
     approx_equal,
     classical_lipschitz_embed,
     delta_embed,
@@ -27,6 +29,7 @@ from pmspace import (
     leq,
     levy_distance,
     levy_to_h0,
+    make_space,
     make_step_cdf,
     pointwise_sup,
     random_lipschitz_map,
@@ -42,10 +45,11 @@ from pmspace.errors import (
     NegativeScale,
     PreconditionViolated,
 )
-from pmspace.tnorms import MINIMUM, TriangleFunction
+from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
-from oracles import BudgetExhausted, ModulusEstimate, estimate_modulus
-from strategies import cdfs, window_cdfs
+from oracles import BudgetExhausted, ModulusEstimate, estimate_modulus, pairwise_lipschitz_scan
+from strategies import cdfs, dyadic_cdfs, float_cdfs, window_cdfs
+from test_spaces import counted_star_calls
 
 
 def heaviside_space(d, star=STAR_MIN):
@@ -99,8 +103,117 @@ class TestCertification:
 
     def test_missing_point_rejected(self):
         sp = heaviside_space(PATH3)
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(DomainMismatch, match="^map not defined at point 'p1'$"):
             is_one_lipschitz(sp, {"p0": H0})
+
+    def test_empty_space(self):
+        sp = make_space([], [], STAR_MIN)
+        assert is_one_lipschitz(sp, {}) == LipschitzCheck(True)
+
+
+class TestMapValueLookup:
+    """Functions that read map values raise DomainMismatch for a missing
+    point, with their own message, and for a value that is not a StepCdf,
+    not an AttributeError from inside a kernel."""
+
+    @pytest.mark.parametrize("bad", [0.5, None, [[0.5, 1.0]]], ids=["float", "none", "pairs"])
+    def test_is_one_lipschitz(self, bad):
+        sp = heaviside_space(PATH3)
+        with pytest.raises(DomainMismatch, match="not a step cdf"):
+            is_one_lipschitz(sp, {p: bad for p in sp.points})
+
+    def test_upper_envelope_extension(self):
+        sp = heaviside_space(PATH3)
+        with pytest.raises(DomainMismatch, match="not a step cdf"):
+            upper_envelope_extension(sp, ["p0"], {"p0": [[0.5, 1.0]]})
+        with pytest.raises(DomainMismatch, match="^partial map not defined at anchor 'p1'$"):
+            upper_envelope_extension(sp, ["p0", "p1"], {"p0": H0})
+
+    def test_uniform_distance(self):
+        with pytest.raises(DomainMismatch, match="not a step cdf"):
+            uniform_distance({"p0": H0}, {"p0": 0.5}, ["p0"])
+        with pytest.raises(DomainMismatch, match="^map not defined at point 'p1'$"):
+            uniform_distance({"p0": H0}, {"p0": H0}, ["p0", "p1"])
+
+
+# two jumps that chain within TOL: star(H0, F) lifts F on (0.5, 0.5 + 1e-13]
+NON_CANONICAL = StepCdf(((0.5, 0.25), (0.5 + 1e-13, 0.5)))
+CUSTOM_MIN = star_from_tnorm(MINIMUM)  # the min operation, but not the shared instance
+
+
+@st.composite
+def spaces_and_maps(draw):
+    """A generated space and a map on it: grid, float, unit-step, certified,
+    or certified with one value replaced; sometimes one value is
+    NON_CANONICAL."""
+    star = draw(st.sampled_from([STAR_MIN, STAR_PROD, STAR_LUKA, CUSTOM_MIN]))
+    n = draw(st.integers(1, 9))
+    sp = gen_space(draw(st.integers(0, 99)), n, draw(st.sampled_from(["metric", "repair"])), star)
+    kind = draw(st.sampled_from(["grid", "float", "unit", "certified", "broken"]))
+    if kind in ("grid", "float", "unit"):
+        value = {
+            "grid": dyadic_cdfs(),
+            "float": float_cdfs(),
+            "unit": st.one_of(st.integers(0, 24).map(lambda a: a / 8.0), st.floats(0.0, 4.0)).map(heaviside),
+        }[kind]
+        values = draw(st.lists(value, min_size=n, max_size=n))
+    else:
+        values = list(random_lipschitz_map(sp, random.Random(draw(st.integers(0, 10**6)))).values.values())
+        if kind == "broken":
+            values[draw(st.integers(0, n - 1))] = draw(cdfs())
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = NON_CANONICAL
+    return sp, dict(zip(sp.points, values))
+
+
+# a distance row with NON_CANONICAL at its center: only the pair (p0, p0),
+# which a pruned scan would skip, fails
+_R4 = gen_space(2, 4, "repair")
+DIAGONAL_ONLY = (_R4, dict(delta_embed(_R4, "p0").values) | {"p0": NON_CANONICAL})
+
+
+class TestScanAgreesWithPairwiseOracle:
+    """The certificate is the triangle scan with the map as an added column;
+    its verdict and witness, t included, must stay those of the pairwise
+    loop it replaced."""
+
+    @settings(max_examples=300)
+    @given(case=spaces_and_maps())
+    @example(case=DIAGONAL_ONLY)
+    def test_same_outcome(self, case):
+        sp, f = case
+        got, want = is_one_lipschitz(sp, f), pairwise_lipschitz_scan(sp, f)
+        assert (got.ok, got.witness) == (want.ok, want.witness)
+
+
+class TestCertificationWork:
+    """Star calls made by the certificate, counted as in TestPrunedTriangleScan."""
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_no_star_call_on_a_classical_lift(self, monkeypatch, star):
+        sp = gen_space(3, 10, "metric", star)
+        L = {x: sp.dist("p0", x).breaks[0][0] for x in sp.points}  # slope 1
+        calls = counted_star_calls(monkeypatch)
+        assert is_one_lipschitz(sp, classical_lipschitz_embed(sp, L))
+        assert not is_one_lipschitz(sp, classical_lipschitz_embed(sp, {x: 2 * L[x] for x in L}))
+        assert calls == []
+
+    def test_certified_map_on_a_repair_space(self, monkeypatch):
+        # the pair (x, x) cannot fail: n(n-1) calls, not n^2
+        sp = gen_space(3, 10, "repair")
+        f = random_lipschitz_map(sp, random.Random(3))
+        calls = counted_star_calls(monkeypatch)
+        assert is_one_lipschitz(sp, f)
+        assert len(calls) == 10 * 9
+
+    def test_map_cluster_draws(self, monkeypatch):
+        # the 200 draws on the benchmark's map-cluster space; the pairwise
+        # scan made 19976 calls, n = 8 more per certification
+        sp = gen_space(0, 8, "repair")
+        calls = counted_star_calls(monkeypatch)
+        for k in range(200):
+            random_lipschitz_map(sp, random.Random(f"map-cluster:{k}"))
+        assert len(calls) == 18376
 
 
 class TestEnvelope:
