@@ -207,9 +207,11 @@ def cmd_gen_lip(args) -> int:
     return 0
 
 
-def _add_tnorm(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tnorm", choices=["min", "prod", "luka"], default="min",
-                   help="t-norm generating the triangle operation (default: min)")
+def _add_tnorm(p: argparse.ArgumentParser, default: str | None = None) -> None:
+    """``--tnorm``; with no default, a space document keeps its own t-norm."""
+    shown = default or "the space document's"
+    p.add_argument("--tnorm", choices=["min", "prod", "luka"], default=default,
+                   help=f"t-norm generating the triangle operation (default: {shown})")
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -231,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conv", help="sup-convolution of two cdf documents")
     p.add_argument("f")
     p.add_argument("g")
-    _add_tnorm(p)
+    _add_tnorm(p, "min")
     _add_out(p)
     p.set_defaults(handler=cmd_conv)
 
@@ -251,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_check_tnorm)
 
     p = sub.add_parser("check-star", help="triangle-function axioms on seeded random triples")
-    _add_tnorm(p)
+    _add_tnorm(p, "min")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -317,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--model", choices=["metric", "repair"], default="metric")
-    _add_tnorm(g)
+    _add_tnorm(g, "min")
     _add_out(g)
     g.set_defaults(handler=cmd_gen_space)
 

@@ -113,11 +113,7 @@ class IndexOutOfRange(PmsError):
     pass
 
 
-# --- generation and extraction ----------------------------------------------
-
-class GenerationFailed(PmsError):
-    pass
-
+# --- extraction --------------------------------------------------------------
 
 class InsufficientSequence(PmsError):
     pass

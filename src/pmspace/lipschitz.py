@@ -16,14 +16,15 @@ from typing import Mapping, Sequence
 
 from .cdf import (
     H0,
+    INF,
     StepCdf,
+    _envelope,
     heaviside,
     leq,
     pointwise_sup,
     random_step_cdf,
 )
 from .errors import (
-    DomainMismatch,
     EmptySubset,
     NegativeScale,
     PreconditionViolated,
@@ -42,9 +43,7 @@ class LipschitzMap:
     values: dict
 
     def __post_init__(self):
-        missing = [p for p in self.space.points if p not in self.values]
-        if missing:
-            raise DomainMismatch(f"map is missing points {missing!r}")
+        _values_at(self.values, self.space.points, "map not defined at point")
 
     def __getitem__(self, p) -> StepCdf:
         return self.values[p]
@@ -94,7 +93,10 @@ def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> Lipschit
     }
     result = LipschitzMap(space, extended)
     check = is_one_lipschitz(space, result)
-    if not check:  # cannot happen for a sup-continuous operation; guard anyway
+    # Exact arithmetic cannot fail here, but float addition is not associative:
+    # on float distances star(D(x,y), star(f(a), D(y,a))) can jump an ulp
+    # before star(f(a), D(x,a)), and then the certificate rejects the envelope.
+    if not check:
         raise ValidationError(f"envelope failed certification at {check.witness}")
     return result
 
@@ -108,12 +110,17 @@ def delta_embed(space: ProbMetricSpace, x) -> LipschitzMap:
 
 def rescale_distance(F: StepCdf, k: float) -> StepCdf:
     """Time rescaling t -> t/k of a distribution, i.e. breakpoints scaled by
-    k; the degenerate k = 0 collapses to the unit step at 0."""
-    if k < 0:
-        raise NegativeScale(f"scale must be nonnegative, got {k}")
+    k; the degenerate k = 0 collapses to the unit step at 0.
+
+    The result is canonical as ``sup_convolution``'s is: scaled
+    breakpoints within TOL of each other are one jump, and a jump whose
+    scaled breakpoint overflows to +inf is never reached.
+    """
+    if not (0 <= k < INF):  # also rejects NaN
+        raise NegativeScale(f"scale must be finite and nonnegative, got {k}")
     if k == 0:
         return H0
-    return StepCdf(tuple((k * t, v) for t, v in F.breaks))
+    return _envelope((k * t, v) for t, v in F.breaks if k * t < INF)
 
 
 def equicontinuity_bound(
@@ -158,12 +165,10 @@ def classical_lipschitz_embed(space: ProbMetricSpace, L: Mapping) -> LipschitzMa
     return LipschitzMap(space, {x: heaviside(L[x]) for x in space.points})
 
 
-def random_lipschitz_map(
-    space: ProbMetricSpace, rng: random.Random, max_breaks: int = 3
-) -> LipschitzMap:
-    """Seeded certified map: the envelope of a random partial assignment on a
-    random anchor set."""
+def random_lipschitz_map(space: ProbMetricSpace, rng: random.Random) -> LipschitzMap:
+    """Seeded certified map: the envelope of a random partial assignment of
+    grid cdfs with at most 3 breaks on a random anchor set."""
     pts = list(space.points)
     anchors = rng.sample(pts, rng.randint(1, len(pts)))
-    partial = {a: random_step_cdf(rng, max_breaks) for a in anchors}
+    partial = {a: random_step_cdf(rng, 3) for a in anchors}
     return upper_envelope_extension(space, anchors, partial)

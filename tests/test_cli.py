@@ -88,6 +88,26 @@ class TestBasicCommands:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("tnorm", ["prod", "luka"])
+    def test_space_commands_read_the_document_tnorm(self, capsys, tmp_path, tnorm):
+        # without --tnorm a space keeps the t-norm its document names; these
+        # repair spaces fail the triangle inequality under min
+        s, m = str(tmp_path / "s.pms"), str(tmp_path / "m.map")
+        gen = ["gen", "space", "--seed", "0", "--n", "6", "--model", "repair", "--tnorm", tnorm, "--out", s]
+        assert run_command(gen) == 0
+        assert run(capsys, "check-space", s, "--tnorm", "min")[0] == 1
+        assert run(capsys, "check-space", s)[0] == 0
+        assert run(capsys, "gen", "lip", s, "--seed", "1", "--out", m)[0] == 0
+        for argv in (
+            ["check-lip", s, m],
+            ["extend", s, m],
+            ["embed-delta", s, "p0"],
+            ["net", s, "--t", "0.5"],
+            ["converse", s, "--points", "p0,p1", "--eps", "0.5"],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+
+
 class TestLipschitzCommands:
     def test_gen_check_extend_cycle(self, capsys, tmp_path, space_file):
         m = tmp_path / "f.map"

@@ -39,11 +39,13 @@ from pmspace import (
     uniform_distance,
     upper_envelope_extension,
 )
+from pmspace.cdf import is_canonical
 from pmspace.errors import (
     DomainMismatch,
     EmptySubset,
     NegativeScale,
     PreconditionViolated,
+    ValidationError,
 )
 from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
@@ -128,6 +130,13 @@ class TestMapValueLookup:
             upper_envelope_extension(sp, ["p0"], {"p0": [[0.5, 1.0]]})
         with pytest.raises(DomainMismatch, match="^partial map not defined at anchor 'p1'$"):
             upper_envelope_extension(sp, ["p0", "p1"], {"p0": H0})
+
+    def test_lipschitz_map(self):
+        sp = gen_space(0, 3, "metric")
+        with pytest.raises(DomainMismatch, match="not a step cdf"):
+            LipschitzMap(sp, {p: 0.5 for p in sp.points})
+        with pytest.raises(DomainMismatch, match="^map not defined at point 'p1'$"):
+            LipschitzMap(sp, {"p0": H0})
 
     def test_uniform_distance(self):
         with pytest.raises(DomainMismatch, match="not a step cdf"):
@@ -257,6 +266,19 @@ class TestEnvelope:
             f = upper_envelope_extension(sp, A, {a: random_step_cdf(rng) for a in A})
             assert is_one_lipschitz(sp, f)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValidationError,
+        reason="float addition is not associative: the composite jumps at "
+        "fl(1.28 + fl(1.16 + 0.66)) = 3.0999999999999996, the envelope at fl(2.44 + 0.66) = 3.1",
+    )
+    def test_certified_on_float_distances(self):
+        # a valid float metric (1.28 + 1.16 == 2.44 exactly in floats), one anchor
+        d = [[0, 1.28, 2.44], [1.28, 0, 1.16], [2.44, 1.16, 0]]
+        sp = from_classical_metric(("x", "y", "z"), d, STAR_MIN)
+        f = upper_envelope_extension(sp, ["z"], {"z": make_step_cdf([(0.66, 0.5)])})
+        assert is_one_lipschitz(sp, f)
+
     def test_empty_anchor_set(self):
         sp = heaviside_space(PATH3)
         with pytest.raises(EmptySubset):
@@ -289,6 +311,21 @@ class TestRescale:
     def test_negative_rejected(self):
         with pytest.raises(NegativeScale):
             rescale_distance(H0, -1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_rejected(self, k):
+        with pytest.raises(NegativeScale):
+            rescale_distance(H0, k)
+
+    def test_overflowing_jump_is_never_reached(self):
+        F = make_step_cdf([(1, 0.5), (2, 1)])
+        G = rescale_distance(F, 1e308)
+        assert G == StepCdf(((1e308, 0.5),)) and is_canonical(G)
+
+    def test_jumps_within_tol_merge(self):
+        F = make_step_cdf([(1, 0.5), (2, 1)])
+        G = rescale_distance(F, 1e-13)
+        assert G == StepCdf(((1e-13, 1.0),)) and is_canonical(G)
 
     def test_rescaled_space_certifies_steeper_maps(self):
         # doubling all distances turns a slope-2 assignment into a certified map
