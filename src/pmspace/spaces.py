@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .cdf import (
     H0,
+    TOL,
     StepCdf,
     approx_equal,
     evaluate,
@@ -39,7 +40,7 @@ from .errors import (
     UnknownPoint,
 )
 from .levy import levy_to_h0
-from .tnorms import STAR_LUKA, STAR_MIN, STAR_PROD, TriangleFunction
+from .tnorms import PRODUCT, STAR_LUKA, STAR_MIN, STAR_PROD, TNorm, TriangleFunction
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,21 @@ class ProbMetricSpace:
     matrix: tuple[tuple[StepCdf, ...], ...]
     star: TriangleFunction
 
+    # True only for spaces built by make_space.  Not a field, so equality,
+    # repr and dataclasses.replace ignore it.
+    _validated = False
+
     @cached_property
     def _index(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def _grid(self) -> tuple[int, float] | None:
+        """:func:`_exact_grid` of the entries of a validated space under a
+        built-in star; None for any other space."""
+        if not (self._validated and _is_builtin(self.star)):
+            return None
+        return _exact_grid((F for row in self.matrix for F in row), self.star.tnorm)
 
     def index(self, p) -> int:
         try:
@@ -72,6 +85,45 @@ def _is_builtin(star: TriangleFunction) -> bool:
     """True for the shared built-in stars: exactly commutative operations
     with H0 as neutral element that distribute over finite sups."""
     return any(star is S for S in (STAR_MIN, STAR_PROD, STAR_LUKA))
+
+
+# 2^-39 is the finest grid coarser than TOL: distinct points on it never chain
+# within TOL in _envelope, and values on it never rise by TOL or less.
+_GRID_BITS = int(-math.log2(TOL))
+
+
+def _exact_grid(cdfs: Iterable[StepCdf], tnorm: TNorm) -> tuple[int, float] | None:
+    """``(2**e, top)`` when every cdf is canonical, every breakpoint is a
+    multiple of 2^-e > TOL, top is the largest breakpoint, and every value is
+    a multiple of 2^-q with 2^-q > TOL (under product 2^-2q > TOL, and an odd
+    numerator of at most 17 bits); None otherwise.
+
+    On such data, with ``top < 2^(50-e)``, a built-in star computes its value
+    in real arithmetic.  Sums of three breakpoints are exact, and distinct
+    ones lie more than TOL apart, so no events chain in ``_envelope``.  Under
+    min and Lukasiewicz every value computed stays on the 2^-q grid, so no
+    increment of TOL or less is dropped either.  Under product the product
+    of two values lies on the 2^-2q grid, and that of three has at most 51
+    significant bits, so it is exact.
+    """
+    if tnorm is PRODUCT:
+        value_den, value_bits = 2 ** (_GRID_BITS // 2), 17
+    else:
+        value_den, value_bits = 2**_GRID_BITS, 53
+    den, top = 1, 0.0
+    for F in cdfs:
+        if not is_canonical(F):
+            return None
+        for t, v in F.breaks:
+            d = t.as_integer_ratio()[1]
+            num, v_den = v.as_integer_ratio()
+            if d > 2**_GRID_BITS or v_den > value_den or num.bit_length() > value_bits:
+                return None
+            if d > den:
+                den = d
+            if t > top:
+                top = t
+    return den, top
 
 
 def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> bool:
@@ -191,7 +243,9 @@ def make_space(
 ) -> ProbMetricSpace:
     """Validated construction; raises Identity/Symmetry/TriangleViolation."""
     validate_space_matrix(points, matrix, star)
-    return ProbMetricSpace(tuple(points), tuple(tuple(row) for row in matrix), star)
+    space = ProbMetricSpace(tuple(points), tuple(tuple(row) for row in matrix), star)
+    object.__setattr__(space, "_validated", True)
+    return space
 
 
 def from_classical_metric(

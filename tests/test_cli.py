@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -10,8 +11,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from pmspace import BUILTIN_STARS, Document, gen_space, make_step_cdf, parse_document, quantize, serialize_document
+from pmspace import (
+    BUILTIN_STARS,
+    Document,
+    gen_space,
+    make_step_cdf,
+    parse_document,
+    quantize,
+    random_lipschitz_map,
+    serialize_document,
+)
 from pmspace.cli import run_command
+from pmspace.errors import PmsError
 
 from strategies import cdfs, shifted_copies, window_cdfs
 
@@ -372,31 +383,90 @@ def _invocations(draw):
         return ["check-space", "s.pms"], docs
     if command == "net":
         return ["net", "s.pms", "--t=" + draw(_scalars)], docs
-    keys = [str(p) for p in space["points"]] + ["z"]
-    values = draw(st.dictionaries(st.sampled_from(keys), _points, max_size=len(keys)) | _json)
-    docs["f.map"] = json.dumps({"kind": "map", "values": values})
+    docs["f.map"] = json.dumps({"kind": "map", "values": _map_values(draw, space)})
     return ["check-lip", "s.pms", "f.map"], docs
 
 
-_EMITS_DOCUMENT = ("conv", "sup", "quantize")
+def _map_values(draw, space: dict):
+    """Map values on a space object's point labels and a stray "z": now and
+    then a map certified on the space, else arbitrary cdfs, or any JSON."""
+    try:
+        sp = parse_document(json.dumps(space)).payload
+    except PmsError:
+        sp = None
+    if sp is not None and draw(st.booleans()):
+        f = random_lipschitz_map(sp, random.Random(draw(st.integers(0, 99))))
+        return {str(p): [list(b) for b in F.breaks] for p, F in f.values.items()}
+    keys = [str(p) for p in space["points"]] + ["z"]
+    return draw(st.dictionaries(st.sampled_from(keys), _points, max_size=len(keys)) | _json)
+
+
+def _map_input(draw, space: dict, kind: str) -> str:
+    """A document of the given kind (map or map_sequence) on the space, now
+    and then a document of another of the map-carrying kinds, a report
+    included, to be rejected by kind."""
+    kind = draw(st.sampled_from([kind, kind, kind, "map", "map_sequence", "report"]))
+    if kind == "map":
+        return json.dumps({"kind": "map", "values": _map_values(draw, space)})
+    if kind == "map_sequence":
+        maps = [_map_values(draw, space) for _ in range(draw(st.integers(0, 4)))]
+        return json.dumps({"kind": "map_sequence", "maps": maps})
+    return json.dumps(draw(_other_docs) | {"kind": "report", "limit": _map_values(draw, space)})
+
+
+@st.composite
+def _map_invocations(draw):
+    """(argv with file names, {file name: text}) for one command that reads a
+    space and writes a map or report document."""
+    command = draw(st.sampled_from(["extend", "gen", "embed-delta", "extract", "converse"]))
+    space = draw(_space_obj())
+    docs = {"s.pms": json.dumps(space)}
+    labels = [str(p) for p in space["points"]]
+    if command == "extend":
+        docs["f.map"] = _map_input(draw, space, "map")
+        return ["extend", "s.pms", "f.map"], docs
+    if command == "gen":
+        return ["gen", "lip", "s.pms", "--seed", str(draw(st.integers(-(10**30), 10**30)))], docs
+    if command == "embed-delta":
+        return ["embed-delta", "s.pms", draw(st.sampled_from(labels + ["z", ""]))], docs
+    if command == "extract":
+        docs["m.seq"] = _map_input(draw, space, "map_sequence")
+        return ["extract", "s.pms", "m.seq", "--eps=" + draw(_scalars)], docs
+    argv = ["converse", "s.pms", "--eps=" + draw(_scalars)]
+    if draw(st.booleans()):
+        walk = draw(st.lists(st.sampled_from(labels + ["z", " "]), max_size=6))
+        return argv + ["--points=" + ",".join(walk)], docs
+    return argv + ["--seed", str(draw(st.integers(-5, 10**6))), "--steps", str(draw(st.integers(-2, 40)))], docs
+
+
+_EMITS_DOCUMENT = ("conv", "sup", "quantize", "extend", "gen", "embed-delta", "extract", "converse")
+
+
+def _run_in_process(tmp_path, case) -> None:
+    """Run one fuzz case: the exit code is 0, 1 or 2, no exception escapes,
+    and every emitted document reads back to the same text."""
+    argv, docs = case
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2)
+    text = out.getvalue()
+    if text and argv[0] in _EMITS_DOCUMENT:  # extract and converse emit their report also on exit 1
+        assert serialize_document(parse_document(text)) == text
 
 
 class TestFuzz:
-    """Arbitrary documents and arguments, run in-process: the exit code is
-    0, 1 or 2, no exception escapes, and every emitted document reads back
-    to the same text."""
+    """Arbitrary documents and arguments, run in-process."""
 
     @settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_invocations())
     def test_commands(self, tmp_path, case):
-        argv, docs = case
-        for name, text in docs.items():
-            (tmp_path / name).write_text(text)
-        argv = [str(tmp_path / a) if a in docs else a for a in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_command(argv)
-        assert code in (0, 1, 2)
-        if code == 0 and argv[0] in _EMITS_DOCUMENT:
-            text = out.getvalue()
-            assert serialize_document(parse_document(text)) == text
+        _run_in_process(tmp_path, case)
+
+    @settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_map_invocations())
+    def test_map_commands(self, tmp_path, case):
+        _run_in_process(tmp_path, case)

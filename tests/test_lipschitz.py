@@ -1,6 +1,7 @@
 """Certification, envelope extension, embeddings, rescaling, and the
 equicontinuity machinery."""
 
+import dataclasses
 import math
 import random
 
@@ -16,6 +17,7 @@ from pmspace import (
     STAR_PROD,
     LipschitzCheck,
     LipschitzMap,
+    ProbMetricSpace,
     StepCdf,
     approx_equal,
     classical_lipschitz_embed,
@@ -45,8 +47,10 @@ from pmspace.errors import (
     EmptySubset,
     NegativeScale,
     PreconditionViolated,
+    TriangleViolation,
     ValidationError,
 )
+from pmspace.lipschitz import _exact_extension
 from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
 from oracles import BudgetExhausted, ModulusEstimate, estimate_modulus, pairwise_lipschitz_scan
@@ -195,6 +199,9 @@ class TestScanAgreesWithPairwiseOracle:
         assert (got.ok, got.witness) == (want.ok, want.witness)
 
 
+_MC = gen_space(0, 8, "repair")
+
+
 class TestCertificationWork:
     """Star calls made by the certificate, counted as in TestPrunedTriangleScan."""
 
@@ -216,13 +223,25 @@ class TestCertificationWork:
         assert len(calls) == 10 * 9
 
     def test_map_cluster_draws(self, monkeypatch):
-        # the 200 draws on the benchmark's map-cluster space; the pairwise
-        # scan made 19976 calls, n = 8 more per certification
+        # the 200 draws on the benchmark's map-cluster space: grid data, so
+        # every envelope is certified by theorem and only built
         sp = gen_space(0, 8, "repair")
         calls = counted_star_calls(monkeypatch)
         for k in range(200):
             random_lipschitz_map(sp, random.Random(f"map-cluster:{k}"))
-        assert len(calls) == 18376
+        assert len(calls) == 7176
+
+    @pytest.mark.parametrize("space, scan_calls", [
+        # an unvalidated copy: the pruned scan, n(n-1) = 56 calls per draw
+        (ProbMetricSpace(_MC.points, _MC.matrix, _MC.star), 200 * 56),
+        # a star that is not a shared built-in: the full scan, n^2 = 64
+        (gen_space(0, 8, "repair", CUSTOM_MIN), 200 * 64),
+    ], ids=["hand-built", "custom-star"])
+    def test_guard_false_draws_are_scanned(self, monkeypatch, space, scan_calls):
+        calls = counted_star_calls(monkeypatch)
+        for k in range(200):
+            random_lipschitz_map(space, random.Random(f"map-cluster:{k}"))
+        assert len(calls) == 7176 + scan_calls
 
 
 class TestEnvelope:
@@ -285,6 +304,98 @@ class TestEnvelope:
             upper_envelope_extension(sp, [], {})
 
 
+def _draws(sp, seed, count):
+    """``count`` partial maps on sp: random anchors with grid values of up to
+    four breaks, eighths and sixteenths, or up to 16 breaks."""
+    rng = random.Random(f"theorem:{seed}:{len(sp)}")
+    for _ in range(count):
+        anchors = rng.sample(list(sp.points), rng.randint(1, len(sp)))
+        yield anchors, {a: random_step_cdf(rng, rng.choice([4, 16])) for a in anchors}
+
+
+class TestCertifiedByTheorem:
+    """On exact-grid data the envelope skips its certificate scan; the scan
+    stays as the oracle, and every guard condition can fail on its own."""
+
+    @pytest.mark.parametrize("model", ["metric", "repair"])
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_scan_agrees(self, star, model):
+        exact = 0
+        for n in range(1, 13):
+            for seed in range(3):
+                sp = gen_space(seed, n, model, star)
+                for anchors, f in _draws(sp, seed, 4):
+                    exact += _exact_extension(sp, list(f.values()))
+                    assert is_one_lipschitz(sp, upper_envelope_extension(sp, anchors, f))
+        assert exact >= 130  # of 144 draws; prod repair spaces fail the guard now and then
+
+    SPACE = gen_space(5, 4, "repair")
+    EIGHTH = StepCdf(((0.125, 0.5),))
+
+    def test_grid_data_passes(self):
+        assert self.SPACE._grid == (8, 4.375)
+        assert _exact_extension(self.SPACE, [self.EIGHTH, HINF, H0, StepCdf(((2.0**47 - 1, 0.5),))])
+
+    @pytest.mark.parametrize("F", [
+        StepCdf(((0.1, 0.5),)),  # breakpoint off every grid coarser than TOL
+        StepCdf(((2.0**-40, 0.5),)),  # on the 2^-40 grid, finer than TOL
+        StepCdf(((2.0**47, 0.5),)),  # not below 2^(50-e) on the space's eighths
+        StepCdf(((0.5, 0.25), (0.5 + 1e-13, 0.5))),  # not canonical
+    ], ids=["off-grid", "fine-grid", "too-large", "non-canonical"])
+    def test_breakpoints(self, F):
+        assert not _exact_extension(self.SPACE, [F])
+
+    @pytest.mark.parametrize("v", [(2**17 + 1) / 2**19, 3 / 2**20], ids=["18-bit-numerator", "finer-than-2^-19"])
+    def test_value_grid_under_product(self, v):
+        sp = gen_space(5, 4, "repair", STAR_PROD)
+        assert _exact_extension(sp, [StepCdf(((0.125, (2**16 + 1) / 2**19),))])
+        assert not _exact_extension(sp, [StepCdf(((0.125, v),))])
+        assert _exact_extension(self.SPACE, [StepCdf(((0.125, v),))])  # min takes either
+
+    @pytest.mark.parametrize("v", [1 / 3, 2.0**-45], ids=["not-dyadic", "finer-than-tol"])
+    def test_value_grid_under_lukasiewicz(self, v):
+        sp = gen_space(5, 4, "repair", STAR_LUKA)
+        assert not _exact_extension(sp, [StepCdf(((0.125, v),))])
+
+    def test_values_finer_than_tol_keep_the_scan(self):
+        # breakpoints in eighths, values 2^-43 apart: validation accepts
+        # star(D(x,y), D(y,a)) = 0.5 + 10u above D(x,a) = 0.5 + 5u within TOL,
+        # and the envelope drops the rise from 0.5 to 0.5 + 5u at x, so it
+        # is not 1-Lipschitz; the value grid sends it to the scan
+        u = 2.0**-43
+        dist = {("x", "y"): (1, 1.0), ("y", "a"): (1, 0.5 + 10 * u), ("x", "a"): (2, 0.5 + 5 * u),
+                ("x", "b"): (1.5, 0.5), ("y", "b"): (2.5, 0.5), ("a", "b"): (3.5, 0.5)}
+        pts = ("x", "y", "a", "b")
+        matrix = [[H0 if p == q else StepCdf((dist.get((p, q)) or dist[q, p],)) for q in pts] for p in pts]
+        sp = make_space(pts, matrix, STAR_MIN)
+        assert sp._grid is None
+        with pytest.raises(ValidationError, match=r"^envelope failed certification at \('x', 'y', 3\.0\)$"):
+            upper_envelope_extension(sp, ["a", "b"], {"a": H0, "b": H0})
+
+    def test_custom_star(self):
+        sp = gen_space(5, 4, "repair", CUSTOM_MIN)
+        assert sp._grid is None and not _exact_extension(sp, [self.EIGHTH])
+
+    def test_hand_built_space_keeps_its_scan(self):
+        # d(p0, p2) = 5 > 1 + 1 = d(p0, p1) + d(p1, p2): make_space rejects it,
+        # and a space built by hand is scanned, as it always was
+        d = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
+        matrix = tuple(tuple(heaviside(x) if x else H0 for x in row) for row in d)
+        with pytest.raises(TriangleViolation):
+            make_space(("p0", "p1", "p2"), matrix, STAR_MIN)
+        sp = ProbMetricSpace(("p0", "p1", "p2"), matrix, STAR_MIN)
+        assert sp._grid is None
+        with pytest.raises(ValidationError, match=r"^envelope failed certification at \('p0', 'p1', 5\.0\)$"):
+            upper_envelope_extension(sp, ["p2"], {"p2": H0})
+
+    def test_validation_flag_is_invisible(self):
+        built = gen_space(5, 4, "repair")
+        by_hand = ProbMetricSpace(built.points, built.matrix, built.star)
+        assert built == by_hand and repr(built) == repr(by_hand) and hash(built) == hash(by_hand)
+        assert built._grid is not None and by_hand._grid is None
+        assert dataclasses.replace(built)._grid is None
+
+
 class TestDeltaEmbed:
     def test_vanishes_at_center(self):
         sp = heaviside_space(PATH3)
@@ -304,6 +415,15 @@ class TestRescale:
 
     def test_zero_collapses(self):
         assert rescale_distance(heaviside(3), 0.0) == H0
+
+    def test_zero_keeps_a_defective_final_value(self):
+        # every k > 0 keeps F's final value 0.5, so the limit k -> 0 does too
+        F = make_step_cdf([(1, 0.25), (2, 0.5)])
+        assert rescale_distance(F, 1e-300) == StepCdf(((1e-300, 0.5),))
+        assert rescale_distance(F, 0.0) == StepCdf(((0.0, 0.5),))
+
+    def test_zero_keeps_hinf(self):
+        assert rescale_distance(HINF, 0.0) == HINF
 
     def test_doubling(self):
         assert rescale_distance(heaviside(1), 2.0) == heaviside(2)
