@@ -85,9 +85,10 @@ def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> Lipschit
 
     That proof holds in floating point when every operation it uses is
     exact, and then the certificate scan :func:`is_one_lipschitz` is
-    skipped.  The guard: the star is a built-in; the space was built by
-    ``make_space``, so validation decided the triangle inequality of D; and
-    the entries of D and the anchor values pass :func:`spaces._exact_grid`
+    skipped.  The guard: the star is a built-in; the space is certified,
+    either by validation in ``make_space`` or by the closure theorem in
+    ``gen_space``, so the triangle inequality of D was decided; and the
+    entries of D and the anchor values pass :func:`spaces._exact_grid`
     jointly, with every breakpoint a multiple of 2^-e below 2^(50-e).  On
     that grid validation's TOL slack hides no violation, so D's triangle
     inequality holds exactly; e is computed exactly; and the scan's own star

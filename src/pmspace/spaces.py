@@ -49,8 +49,10 @@ class ProbMetricSpace:
     matrix: tuple[tuple[StepCdf, ...], ...]
     star: TriangleFunction
 
-    # True only for spaces built by make_space.  Not a field, so equality,
-    # repr and dataclasses.replace ignore it.
+    # True only for spaces whose axioms are certified: by validation in
+    # make_space, or by the closure theorem in gen_space (see
+    # _exact_closure).  Not a field, so equality, repr and
+    # dataclasses.replace ignore it.
     _validated = False
 
     @cached_property
@@ -59,7 +61,7 @@ class ProbMetricSpace:
 
     @cached_property
     def _grid(self) -> tuple[int, float] | None:
-        """:func:`_exact_grid` of the entries of a validated space under a
+        """:func:`_exact_grid` of the entries of a certified space under a
         built-in star; None for any other space."""
         if not (self._validated and _is_builtin(self.star)):
             return None
@@ -236,16 +238,27 @@ def validate_space_matrix(
         )
 
 
+def _certified(
+    points: Sequence,
+    matrix: Sequence[Sequence[StepCdf]],
+    star: TriangleFunction,
+) -> ProbMetricSpace:
+    """The space with ``_validated`` set; the caller has certified it."""
+    space = ProbMetricSpace(tuple(points), tuple(tuple(row) for row in matrix), star)
+    object.__setattr__(space, "_validated", True)
+    return space
+
+
 def make_space(
     points: Sequence,
     matrix: Sequence[Sequence[StepCdf]],
     star: TriangleFunction,
 ) -> ProbMetricSpace:
-    """Validated construction; raises Identity/Symmetry/TriangleViolation."""
+    """Validated construction; raises DomainMismatch for duplicate labels or
+    a matrix that is not n x n, and Identity/Symmetry/TriangleViolation for
+    the first violated axiom."""
     validate_space_matrix(points, matrix, star)
-    space = ProbMetricSpace(tuple(points), tuple(tuple(row) for row in matrix), star)
-    object.__setattr__(space, "_validated", True)
-    return space
+    return _certified(points, matrix, star)
 
 
 def from_classical_metric(
@@ -374,8 +387,8 @@ def _close_triangle(matrix: list[list[StepCdf]], star: TriangleFunction) -> None
     ``sup(m[i][j], star(m[i][k], m[k][j]))``, written to both halves.  For an
     associative, sup-continuous star, which every t-norm star is, one pass is
     the closure (see the README, "Numerical conventions").  The caller
-    validates the result, so an operation for which one pass is not enough
-    fails there.
+    certifies the result (see :func:`gen_space`), so an operation for which
+    one pass is not enough fails there.
     """
     n = len(matrix)
     for k in range(n):
@@ -393,6 +406,29 @@ def _close_triangle(matrix: list[list[StepCdf]], star: TriangleFunction) -> None
                     row_i[j] = matrix[j][i] = pointwise_sup([row_i[j], cand])
 
 
+def _exact_closure(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bool:
+    """The guard of :func:`gen_space`'s closure theorem, read on the drawn
+    matrix: a built-in star; drawn entries that pass :func:`_exact_grid`,
+    on whose 2^-e grid every sum of 2(n-1) breakpoints is exact; and under
+    product, values on the 2^-q grid with odd numerators of at most b bits,
+    where ``(n-1)*b <= 53`` and ``(n-1)*q <= 39``."""
+    if not _is_builtin(star):
+        return False
+    n = len(matrix)
+    drawn = [F for i, row in enumerate(matrix) for F in row[i + 1 :]]
+    grid = _exact_grid(drawn, star.tnorm)
+    if grid is None or 2 * (n - 1) * grid[1] * grid[0] >= 2.0**53:
+        return False
+    if star.tnorm is not PRODUCT:
+        return True
+    q = b = 0
+    for F in drawn:
+        for _, v in F.breaks:
+            num, den = v.as_integer_ratio()
+            q, b = max(q, den.bit_length() - 1), max(b, num.bit_length())
+    return (n - 1) * b <= 53 and (n - 1) * q <= _GRID_BITS
+
+
 def gen_space(
     seed: int,
     n: int,
@@ -405,11 +441,31 @@ def gen_space(
     embedded as unit steps at the distances.
     model="repair": random symmetric matrix of grid step cdfs other than the
     unit step at 0, raised to the triangle inequality by one Floyd-Warshall
-    closure pass over (sup, star) and certified by validation.  Under a
-    t-norm star no entry reaches the unit step at 0: a drawn entry is at most
-    15/16 just after 0, and T <= min.  An operation for which the pass is not
-    the closure raises TriangleViolation, and one that pushes an entry onto
-    the unit step at 0 raises IdentityViolation.
+    closure pass over (sup, star).  Under a t-norm star no entry reaches the
+    unit step at 0: a drawn entry is at most 15/16 just after 0, and T <= min.
+
+    The result is certified by a theorem when :func:`_exact_closure` holds
+    on the drawn matrix, and by validation in :func:`make_space` otherwise.
+    Under the guard every star call and every ``leq`` decision in the pass is
+    the real-arithmetic one, so the result is the real closure (Lehmann
+    1977), and its triangle inequality holds exactly.  Each breakpoint the
+    pass keeps is a sum of at most n-1 drawn ones and each star call adds
+    two, so breakpoints are exact and never chain within TOL.  Under min and
+    Lukasiewicz values never leave the drawn grid.  Under product each value
+    the pass keeps is attained by a simple path, a product of at most n-1
+    drawn values, so it is exact and lies on the 2^-((n-1)q) grid, coarser
+    than TOL.  A walk through a cycle loses to the path with the cycle
+    removed: its value is smaller by a factor of at least 1/(1 - 2^-q) (16/15
+    on the drawn sixteenths), or equal with a later breakpoint, so rounding
+    its product never changes a sup or a ``leq`` decision.  Validation's own
+    star stays within 2^-53 of the real star, below TOL, so its triangle
+    scan cannot fail; identity and symmetry hold by construction.  So the
+    scan is skipped.  On the drawn grid the guard holds for n <= 10 under
+    product and for every n under min and Lukasiewicz.
+
+    Custom stars and draws off the guard are validated: an operation for
+    which the pass is not the closure raises TriangleViolation, and one that
+    pushes an entry onto the unit step at 0 raises IdentityViolation.
     """
     if n < 1:
         raise PreconditionViolated(f"need at least one point, got n={n}")
@@ -437,7 +493,10 @@ def gen_space(
     for i in range(n):
         for j in range(i + 1, n):
             matrix[i][j] = matrix[j][i] = draw()
+    exact = _exact_closure(matrix, star)
     _close_triangle(matrix, star)
+    if exact:
+        return _certified(labels, matrix, star)
     return make_space(labels, matrix, star)
 
 

@@ -1,6 +1,7 @@
 """Space construction, axiom validation, neighborhoods, covers and
 generators."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -23,6 +24,7 @@ from pmspace import (
     leq,
     levy_to_h0,
     make_space,
+    parse_document,
     random_step_cdf,
     serialize_document,
     strong_neighborhood,
@@ -52,6 +54,10 @@ def heaviside_space(d, star=STAR_MIN):
 
 
 PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
+def hamacher(x, y):
+    return 0.0 if x == y == 0.0 else x * y / (x + y - x * y)
 
 
 class TestMakeSpace:
@@ -309,11 +315,97 @@ class TestTriangleClosure:
     def test_one_pass_closes_a_non_dyadic_tnorm(self):
         # the Hamacher product rounds on grid data, so one pass is the closure
         # only up to that rounding; gen_space validates what it returns
-        hamacher = custom_tnorm("hamacher", lambda x, y: 0.0 if x == y == 0.0 else x * y / (x + y - x * y))
-        star = star_from_tnorm(hamacher)
+        star = star_from_tnorm(custom_tnorm("hamacher", hamacher))
         for n in range(3, 11):
             for seed in range(3):
                 assert gen_space(seed, n, "repair", star).star is star
+
+
+class TestClosureCertificate:
+    """A repair draw that passes spaces._exact_closure is certified by the
+    closure theorem and not scanned; the scan stays as the oracle, and every
+    other draw, custom star and parsed document is still scanned."""
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_certified_spaces_pass_the_scan(self, monkeypatch, star):
+        guard, verdicts = spaces._exact_closure, []
+
+        def spy(matrix, star):
+            verdicts.append(guard(matrix, star))
+            return verdicts[-1]
+
+        monkeypatch.setattr(spaces, "_exact_closure", spy)
+        certified = 0
+        for n in range(1, 13):
+            for seed in range(40):
+                verdicts.clear()
+                sp = gen_space(seed, n, "repair", star)
+                assert sp._validated
+                if verdicts == [True]:
+                    validate_space_matrix(sp.points, sp.matrix, sp.star)
+                    certified += 1
+        # n = 1 returns before the draw; product keeps the scan at n >= 11
+        assert certified == 40 * (9 if star is STAR_PROD else 11)
+
+    def test_certified_draw_pays_for_the_closure_only(self, monkeypatch):
+        calls = counted_star_calls(monkeypatch)
+        gen_space(3, 10, "repair")
+        assert len(calls) == 10 * 9 * 8 // 2
+
+    @pytest.mark.parametrize(
+        "n, star, scan",
+        [
+            (10, star_from_tnorm(MINIMUM), 10**3),  # not a shared instance: the full scan
+            (11, STAR_PROD, 11 * 10 * 9 // 2),  # (n-1)q = 40 > 39 on sixteenths: the pruned scan
+        ],
+        ids=["fresh-min", "prod-11"],
+    )
+    def test_guard_false_draws_pay_for_the_scan(self, monkeypatch, n, star, scan):
+        calls = counted_star_calls(monkeypatch)
+        gen_space(3, n, "repair", star)
+        assert len(calls) == n * (n - 1) * (n - 2) // 2 + scan
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_guard_holds_on_sixteenths(self, star):
+        F = StepCdf(((0.125, 1 / 16), (3.0, 15 / 16)))
+        assert spaces._exact_closure(equilateral(10, F), star)
+        assert spaces._exact_closure(equilateral(11, F), star) is (star is not STAR_PROD)
+
+    @pytest.mark.parametrize(
+        "F, star",
+        [
+            (StepCdf(((1.0, 1 / 3),)), STAR_MIN),  # off the value grid
+            (StepCdf(((1 / 3, 0.5),)), STAR_LUKA),  # off the breakpoint grid
+            (StepCdf(((1.0, (2**18 - 1) / 2**18),)), STAR_PROD),  # an 18-bit numerator
+            (StepCdf(((1.0, 0.5),)), star_from_tnorm(custom_tnorm("hamacher", hamacher))),
+            (StepCdf(((1.0, 0.5),)), star_from_tnorm(MINIMUM)),  # a custom star
+        ],
+        ids=["off-grid-value", "off-grid-breakpoint", "18-bit-numerator", "hamacher", "custom-star"],
+    )
+    def test_guard_false(self, F, star):
+        assert not spaces._exact_closure(equilateral(3, F), star)
+
+    def test_map_drawing_reads_the_grid(self):
+        assert gen_space(0, 8, "repair")._grid is not None
+
+    @pytest.mark.parametrize("tnorm", ["min", "prod", "luka"])
+    def test_parsing_never_trusts_the_theorem(self, capsys, tmp_path, tnorm):
+        # a repair document with one entry lowered by its last jump; under min
+        # and Lukasiewicz the guard even holds on the lowered matrix (closed
+        # product values are finer than the drawn sixteenths), and parsing
+        # scans all the same
+        sp = gen_space(0, 6, "repair", tnorms.BUILTIN_STARS[tnorm])
+        obj = json.loads(serialize_document(Document("space", sp, {})))
+        obj["dist"][0][1] = obj["dist"][1][0] = obj["dist"][0][1][:-1]
+        m = [[StepCdf(tuple(map(tuple, e))) for e in row] for row in obj["dist"]]
+        assert spaces._exact_closure(m, sp.star) is (tnorm != "prod")
+        text = json.dumps(obj)
+        with pytest.raises(TriangleViolation):
+            parse_document(text)
+        path = tmp_path / "lowered.pms"
+        path.write_text(text)
+        code = run_command(["check-space", str(path)])
+        assert code == 1 and "TriangleViolation" in capsys.readouterr().err
 
 
 class TestFromClassicalMetric:
