@@ -56,7 +56,8 @@ def make_step_cdf(points: Iterable[Sequence[float]]) -> StepCdf:
     """Canonicalizing constructor.
 
     Sorts the given (breakpoint, value) pairs, drops exact duplicates and
-    redundant breakpoints (consecutive equal values), and rejects anything
+    redundant breakpoints (a value within TOL of the one before, or of 0 for
+    the first), so the result is canonical, and rejects anything
     that cannot be a member of the lattice: negative breakpoints, values
     outside (0, 1], or values that decrease as breakpoints increase.
     Idempotent: feeding back ``F.breaks`` reproduces ``F``.
@@ -76,11 +77,8 @@ def make_step_cdf(points: Iterable[Sequence[float]]) -> StepCdf:
             raise ValueOutOfRange(f"value must lie in (0, 1], got {v}")
         cleaned.append((t, v))
     cleaned.sort()
-    breaks: list[tuple[float, float]] = []
+    breaks = [(-INF, 0.0)]  # the function is 0 before its first breakpoint
     for t, v in cleaned:
-        if not breaks:
-            breaks.append((t, v))
-            continue
         pt, pv = breaks[-1]
         if t - pt <= TOL:
             # same breakpoint within tolerance
@@ -92,7 +90,7 @@ def make_step_cdf(points: Iterable[Sequence[float]]) -> StepCdf:
                 raise NonMonotoneValue(f"value decreases from {pv} to {v} at breakpoint {t}")
             continue  # redundant breakpoint, same value
         breaks.append((t, v))
-    return StepCdf(tuple(breaks))
+    return StepCdf(tuple(breaks[1:]))
 
 
 def heaviside(a: float) -> StepCdf:

@@ -19,9 +19,15 @@ from .extraction import converse_compactness_witness, extract_uniform_subsequenc
 from .levy import levy_distance
 from .lipschitz import LipschitzMap, delta_embed, is_one_lipschitz, random_lipschitz_map, upper_envelope_extension
 from .spaces import covering_net, gen_space
-from .tnorms import BUILTIN_STARS, BUILTIN_TNORMS, check_triangle_axioms, random_triples, tnorm_axiom_failures
-
-_AXIOMS = ("closure", "commutativity", "associativity", "neutrality", "monotonicity")
+from .tnorms import (
+    BUILTIN_STARS,
+    BUILTIN_TNORMS,
+    STAR_AXIOMS,
+    TNORM_AXIOMS,
+    check_triangle_axioms,
+    random_triples,
+    tnorm_axiom_failures,
+)
 
 
 def _read(path: str) -> str:
@@ -81,7 +87,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_check_tnorm(args) -> int:
     failed = tnorm_axiom_failures(BUILTIN_TNORMS[args.name])
-    for axiom in ("closure", "commutativity", "associativity", "monotonicity", "boundary"):
+    for axiom in TNORM_AXIOMS:
         print(f"{axiom}: {'FAIL' if axiom in failed else 'ok'}")
     return 1 if failed else 0
 
@@ -90,7 +96,7 @@ def cmd_check_star(args) -> int:
     star = BUILTIN_STARS[args.tnorm]
     rng = random.Random(args.seed)
     report = check_triangle_axioms(star, random_triples(rng, args.samples), args.tol)
-    for axiom in _AXIOMS:
+    for axiom in STAR_AXIOMS:
         print(f"{axiom}: {'ok' if getattr(report, axiom) else 'FAIL'}")
     if not report.all_ok:
         print(f"counterexamples: {sorted(report.counterexamples)}", file=sys.stderr)

@@ -30,19 +30,28 @@ from .errors import (
     ValidationError,
 )
 from .levy import _values_at, levy_distance
-from .spaces import ProbMetricSpace, _exact_grid, _triangle_failure
+from .spaces import ProbMetricSpace, _exact_envelope, _triangle_failure
 from .tnorms import TriangleFunction
+
+
+def _map_values(space: ProbMetricSpace, f) -> list[StepCdf]:
+    """f's values in point order; DomainMismatch for a point with no value,
+    and UnknownPoint for a value at a point outside the space."""
+    values = _values_at(f, space.points, "map not defined at point")
+    for x in f if isinstance(f, Mapping) else f.values:
+        space.index(x)  # raises UnknownPoint at a stray
+    return values
 
 
 @dataclass(frozen=True, eq=False)
 class LipschitzMap:
-    """A total assignment point -> StepCdf over a space's points."""
+    """A total assignment point -> StepCdf on exactly a space's points."""
 
     space: ProbMetricSpace
     values: dict
 
     def __post_init__(self):
-        _values_at(self.values, self.space.points, "map not defined at point")
+        _map_values(self.space, self.values)
 
     def __getitem__(self, p) -> StepCdf:
         return self.values[p]
@@ -63,7 +72,7 @@ class LipschitzCheck:
 def is_one_lipschitz(space: ProbMetricSpace, f) -> LipschitzCheck:
     """Exhaustive ordered-pair certificate: the triangle scan
     :func:`_triangle_failure` at a point * added with ``D(x, *) = f(x)``."""
-    values = _values_at(f, space.points, "map not defined at point")
+    values = _map_values(space, f)
     m = [(*row, F) for row, F in zip(space.matrix, values)]
     failure = _triangle_failure(m, space.star, len(m))
     if failure is None:
@@ -85,18 +94,18 @@ def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> Lipschit
 
     That proof holds in floating point when every operation it uses is
     exact, and then the certificate scan :func:`is_one_lipschitz` is
-    skipped.  The guard: the star is a built-in; the space is certified,
-    either by validation in ``make_space`` or by the closure theorem in
-    ``gen_space``, so the triangle inequality of D was decided; and the
-    entries of D and the anchor values pass :func:`spaces._exact_grid`
-    jointly, with every breakpoint a multiple of 2^-e below 2^(50-e).  On
-    that grid validation's TOL slack hides no violation, so D's triangle
-    inequality holds exactly; e is computed exactly; and the scan's own star
-    can only drop an increment of at most TOL, which lowers it, so the scan
-    cannot fail.  Any other input is scanned, and a failure raises
-    ValidationError: float addition is not associative, so on float
-    distances star(D(x,y), star(f(a), D(y,a))) can jump an ulp before
-    star(f(a), D(x,a)).
+    skipped.  The guard, :func:`spaces._exact_envelope`: a built-in star; a
+    certified space, by validation in ``make_space`` or by the closure
+    theorem in ``gen_space``, so D's triangle inequality was decided; and
+    the lemma :func:`spaces._exact_on_grid` on D and the anchor values
+    jointly, with k = 8 for sums (the proof adds three breakpoints) and k = 2
+    for products.  Then validation's TOL slack hides no violation, so D's
+    triangle inequality holds exactly; e is computed exactly; and the scan's
+    own star can only drop an increment of at most TOL, which lowers its
+    side, so the scan cannot fail.  Any other input is scanned, and a
+    failure raises ValidationError: float addition is not associative, so
+    on float distances star(D(x,y), star(f(a), D(y,a))) can jump an ulp
+    before star(f(a), D(x,a)).
     """
     anchors = list(A)
     if not anchors:
@@ -110,23 +119,11 @@ def upper_envelope_extension(space: ProbMetricSpace, A: Sequence, f) -> Lipschit
         for x in space.points
     }
     result = LipschitzMap(space, extended)
-    if not _exact_extension(space, values):
+    if not _exact_envelope(space, values):
         check = is_one_lipschitz(space, result)
         if not check:
             raise ValidationError(f"envelope failed certification at {check.witness}")
     return result
-
-
-def _exact_extension(space: ProbMetricSpace, values: Sequence[StepCdf]) -> bool:
-    """The guard of :func:`upper_envelope_extension`'s proof; the space's
-    half is computed once per space."""
-    grid = space._grid
-    if grid is None:
-        return False
-    mine = _exact_grid(values, space.star.tnorm)
-    if mine is None:
-        return False
-    return max(grid[1], mine[1]) * max(grid[0], mine[0]) < 2.0**50
 
 
 def delta_embed(space: ProbMetricSpace, x) -> LipschitzMap:

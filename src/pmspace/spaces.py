@@ -60,12 +60,12 @@ class ProbMetricSpace:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def _grid(self) -> tuple[int, float] | None:
+    def _grid(self) -> tuple[int, float, int, int] | None:
         """:func:`_exact_grid` of the entries of a certified space under a
         built-in star; None for any other space."""
         if not (self._validated and _is_builtin(self.star)):
             return None
-        return _exact_grid((F for row in self.matrix for F in row), self.star.tnorm)
+        return _exact_grid(F for row in self.matrix for F in row)
 
     def index(self, p) -> int:
         try:
@@ -94,38 +94,68 @@ def _is_builtin(star: TriangleFunction) -> bool:
 _GRID_BITS = int(-math.log2(TOL))
 
 
-def _exact_grid(cdfs: Iterable[StepCdf], tnorm: TNorm) -> tuple[int, float] | None:
-    """``(2**e, top)`` when every cdf is canonical, every breakpoint is a
-    multiple of 2^-e > TOL, top is the largest breakpoint, and every value is
-    a multiple of 2^-q with 2^-q > TOL (under product 2^-2q > TOL, and an odd
-    numerator of at most 17 bits); None otherwise.
-
-    On such data, with ``top < 2^(50-e)``, a built-in star computes its value
-    in real arithmetic.  Sums of three breakpoints are exact, and distinct
-    ones lie more than TOL apart, so no events chain in ``_envelope``.  Under
-    min and Lukasiewicz every value computed stays on the 2^-q grid, so no
-    increment of TOL or less is dropped either.  Under product the product
-    of two values lies on the 2^-2q grid, and that of three has at most 51
-    significant bits, so it is exact.
-    """
-    if tnorm is PRODUCT:
-        value_den, value_bits = 2 ** (_GRID_BITS // 2), 17
-    else:
-        value_den, value_bits = 2**_GRID_BITS, 53
-    den, top = 1, 0.0
+def _exact_grid(cdfs: Iterable[StepCdf]) -> tuple[int, float, int, int] | None:
+    """``(2**e, top, q, b)`` when every cdf is canonical, every breakpoint is
+    a multiple of 2^-e and at most top, and every value a multiple of 2^-q
+    with an odd numerator of at most b bits, where 2^-e and 2^-q are at
+    least 2^-39, coarser than TOL; None otherwise."""
+    top, t_dens, v_dens, nums = 0.0, 1, 1, 0
     for F in cdfs:
         if not is_canonical(F):
             return None
         for t, v in F.breaks:
-            d = t.as_integer_ratio()[1]
-            num, v_den = v.as_integer_ratio()
-            if d > 2**_GRID_BITS or v_den > value_den or num.bit_length() > value_bits:
-                return None
-            if d > den:
-                den = d
-            if t > top:
-                top = t
-    return den, top
+            t_dens |= t.as_integer_ratio()[1]
+            num, den = v.as_integer_ratio()
+            v_dens |= den
+            nums |= num
+        if (t_dens | v_dens) >> _GRID_BITS > 1:  # powers of two: the or's top bit is the largest one
+            return None
+        if F.breaks and F.breaks[-1][0] > top:
+            top = F.breaks[-1][0]
+    return 1 << (t_dens.bit_length() - 1), top, v_dens.bit_length() - 1, nums.bit_length()
+
+
+def _exact_on_grid(grid: tuple[int, float, int, int], sums: int, products: int, tnorm: TNorm) -> bool:
+    """The lemma of both theorem certificates: on data with
+    :func:`_exact_grid` ``(2**e, top, q, b)``, a built-in star, ``_envelope``
+    and ``leq`` compute in real arithmetic, for sums of ``sums`` breakpoints
+    and products of ``products`` values.
+
+    A sum of k breakpoints is a multiple of 2^-e of at most ``k * top``:
+    exact when ``k * top * 2**e < 2^53``, and distinct sums lie 2^-e > TOL
+    apart, so no events chain in ``_envelope``.  Under min and Lukasiewicz values
+    stay on the 2^-q grid, so no increment of TOL or less is dropped and
+    ``leq`` decides the real order.  Under product a product of k values
+    has at most ``k*b`` bits and lies on the 2^-(kq) grid: exact when
+    ``k*b <= 53``, and coarser than TOL when ``k*q <= 39``.  Both guards ask
+    that of pairs, and exactness of triples, at least.
+    """
+    den, top, q, b = grid
+    if sums * top * den >= 2.0**53:
+        return False
+    return tnorm is not PRODUCT or (max(products, 2) * q <= _GRID_BITS and max(products, 3) * b <= 53)
+
+
+def _exact_envelope(space: ProbMetricSpace, values: Sequence[StepCdf]) -> bool:
+    """The guard of :func:`lipschitz.upper_envelope_extension`'s theorem: a
+    certified space under a built-in star (``space._grid``, read once per
+    space), and :func:`_exact_on_grid` on its entries and the anchor values
+    jointly, for sums of 8 breakpoints and products of 2 values."""
+    grid, mine = space._grid, _exact_grid(values)
+    if grid is None or mine is None:
+        return False
+    return _exact_on_grid(tuple(map(max, grid, mine)), 8, 2, space.star.tnorm)
+
+
+def _exact_closure(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bool:
+    """The guard of :func:`gen_space`'s closure theorem, read on the drawn
+    matrix: a built-in star, and :func:`_exact_on_grid` on the drawn entries
+    for sums of 2(n-1) breakpoints and products of n-1 values."""
+    if not _is_builtin(star):
+        return False
+    n = len(matrix)
+    grid = _exact_grid(F for i, row in enumerate(matrix) for F in row[i + 1 :])
+    return grid is not None and _exact_on_grid(grid, 2 * (n - 1), n - 1, star.tnorm)
 
 
 def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> bool:
@@ -406,29 +436,6 @@ def _close_triangle(matrix: list[list[StepCdf]], star: TriangleFunction) -> None
                     row_i[j] = matrix[j][i] = pointwise_sup([row_i[j], cand])
 
 
-def _exact_closure(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> bool:
-    """The guard of :func:`gen_space`'s closure theorem, read on the drawn
-    matrix: a built-in star; drawn entries that pass :func:`_exact_grid`,
-    on whose 2^-e grid every sum of 2(n-1) breakpoints is exact; and under
-    product, values on the 2^-q grid with odd numerators of at most b bits,
-    where ``(n-1)*b <= 53`` and ``(n-1)*q <= 39``."""
-    if not _is_builtin(star):
-        return False
-    n = len(matrix)
-    drawn = [F for i, row in enumerate(matrix) for F in row[i + 1 :]]
-    grid = _exact_grid(drawn, star.tnorm)
-    if grid is None or 2 * (n - 1) * grid[1] * grid[0] >= 2.0**53:
-        return False
-    if star.tnorm is not PRODUCT:
-        return True
-    q = b = 0
-    for F in drawn:
-        for _, v in F.breaks:
-            num, den = v.as_integer_ratio()
-            q, b = max(q, den.bit_length() - 1), max(b, num.bit_length())
-    return (n - 1) * b <= 53 and (n - 1) * q <= _GRID_BITS
-
-
 def gen_space(
     seed: int,
     n: int,
@@ -448,13 +455,11 @@ def gen_space(
     on the drawn matrix, and by validation in :func:`make_space` otherwise.
     Under the guard every star call and every ``leq`` decision in the pass is
     the real-arithmetic one, so the result is the real closure (Lehmann
-    1977), and its triangle inequality holds exactly.  Each breakpoint the
-    pass keeps is a sum of at most n-1 drawn ones and each star call adds
-    two, so breakpoints are exact and never chain within TOL.  Under min and
-    Lukasiewicz values never leave the drawn grid.  Under product each value
-    the pass keeps is attained by a simple path, a product of at most n-1
-    drawn values, so it is exact and lies on the 2^-((n-1)q) grid, coarser
-    than TOL.  A walk through a cycle loses to the path with the cycle
+    1977), and its triangle inequality holds exactly.  The lemma
+    :func:`_exact_on_grid` applies with k = 2(n-1) for sums, since a kept
+    breakpoint sums at most n-1 drawn ones and a star call adds two, and
+    with k = n-1 for products, since a kept value is attained by a simple
+    path.  A walk through a cycle loses to the path with the cycle
     removed: its value is smaller by a factor of at least 1/(1 - 2^-q) (16/15
     on the drawn sixteenths), or equal with a later breakpoint, so rounding
     its product never changes a sup or a ``leq`` decision.  Validation's own

@@ -23,6 +23,7 @@ from pmspace import (
     random_step_cdf,
     value_after,
 )
+from pmspace.cdf import is_canonical
 from pmspace.errors import (
     EmptyFamily,
     InvalidDelta,
@@ -82,6 +83,17 @@ class TestMakeStepCdf:
     @given(cdfs())
     def test_idempotent(self, F):
         assert make_step_cdf(F.breaks) == F
+
+    @pytest.mark.parametrize(
+        "points, breaks",
+        [([(1.0, 1e-13)], ()), ([(1.0, 1e-13), (2.0, 0.5)], ((2.0, 0.5),)), ([(0.0, TOL)], ())],
+        ids=["alone", "then-a-jump", "at-tol"],
+    )
+    def test_first_jump_within_tol_of_zero_dropped(self, points, breaks):
+        # the function is 0 before its first breakpoint, so a first jump of
+        # at most TOL is redundant, as it is to _envelope
+        F = make_step_cdf(points)
+        assert F.breaks == breaks and is_canonical(F)
 
 
 class TestHeaviside:

@@ -144,6 +144,19 @@ class TestLipschitzCommands:
         code, _, err = run(capsys, "check-lip", space_file, str(m))
         assert code == 1 and "FAIL" in err
 
+    def test_value_outside_the_space_exits_one(self, capsys, tmp_path, space_file):
+        m = tmp_path / "f.map"
+        assert run_command(["gen", "lip", space_file, "--seed", "5", "--out", str(m)]) == 0
+        doc = json.loads(m.read_text())
+        doc["values"]["z"] = [[0, 1]]
+        m.write_text(json.dumps(doc))
+        seq = tmp_path / "maps.seq"
+        seq.write_text(json.dumps({"kind": "map_sequence", "maps": [doc["values"]]}))
+        for argv in (["check-lip", space_file, str(m)], ["extend", space_file, str(m)],
+                     ["extract", space_file, str(seq), "--eps", "0.1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", "UnknownPoint: point 'z' is not in the space\n"), argv
+
     def test_embed_delta(self, capsys, space_file):
         code, out, _ = run(capsys, "embed-delta", space_file, "p0")
         assert code == 0

@@ -48,9 +48,10 @@ from pmspace.errors import (
     NegativeScale,
     PreconditionViolated,
     TriangleViolation,
+    UnknownPoint,
     ValidationError,
 )
-from pmspace.lipschitz import _exact_extension
+from pmspace.spaces import _exact_envelope
 from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
 from oracles import BudgetExhausted, ModulusEstimate, estimate_modulus, pairwise_lipschitz_scan
@@ -141,6 +142,17 @@ class TestMapValueLookup:
             LipschitzMap(sp, {p: 0.5 for p in sp.points})
         with pytest.raises(DomainMismatch, match="^map not defined at point 'p1'$"):
             LipschitzMap(sp, {"p0": H0})
+
+    def test_value_outside_the_space(self):
+        # a map lives on the space's points only; the envelope's partial map
+        # may still be defined beyond its anchors
+        sp = heaviside_space(PATH3)
+        f = {p: H0 for p in (*sp.points, "z")}
+        with pytest.raises(UnknownPoint, match="^point 'z' is not in the space$"):
+            is_one_lipschitz(sp, f)
+        with pytest.raises(UnknownPoint, match="^point 'z' is not in the space$"):
+            LipschitzMap(sp, f)
+        assert set(upper_envelope_extension(sp, ["p0"], f).values) == set(sp.points)
 
     def test_uniform_distance(self):
         with pytest.raises(DomainMismatch, match="not a step cdf"):
@@ -325,7 +337,7 @@ class TestCertifiedByTheorem:
             for seed in range(3):
                 sp = gen_space(seed, n, model, star)
                 for anchors, f in _draws(sp, seed, 4):
-                    exact += _exact_extension(sp, list(f.values()))
+                    exact += _exact_envelope(sp, list(f.values()))
                     assert is_one_lipschitz(sp, upper_envelope_extension(sp, anchors, f))
         assert exact >= 130  # of 144 draws; prod repair spaces fail the guard now and then
 
@@ -333,8 +345,8 @@ class TestCertifiedByTheorem:
     EIGHTH = StepCdf(((0.125, 0.5),))
 
     def test_grid_data_passes(self):
-        assert self.SPACE._grid == (8, 4.375)
-        assert _exact_extension(self.SPACE, [self.EIGHTH, HINF, H0, StepCdf(((2.0**47 - 1, 0.5),))])
+        assert self.SPACE._grid == (8, 4.375, 4, 4)
+        assert _exact_envelope(self.SPACE, [self.EIGHTH, HINF, H0, StepCdf(((2.0**47 - 1, 0.5),))])
 
     @pytest.mark.parametrize("F", [
         StepCdf(((0.1, 0.5),)),  # breakpoint off every grid coarser than TOL
@@ -343,19 +355,35 @@ class TestCertifiedByTheorem:
         StepCdf(((0.5, 0.25), (0.5 + 1e-13, 0.5))),  # not canonical
     ], ids=["off-grid", "fine-grid", "too-large", "non-canonical"])
     def test_breakpoints(self, F):
-        assert not _exact_extension(self.SPACE, [F])
+        assert not _exact_envelope(self.SPACE, [F])
 
     @pytest.mark.parametrize("v", [(2**17 + 1) / 2**19, 3 / 2**20], ids=["18-bit-numerator", "finer-than-2^-19"])
     def test_value_grid_under_product(self, v):
         sp = gen_space(5, 4, "repair", STAR_PROD)
-        assert _exact_extension(sp, [StepCdf(((0.125, (2**16 + 1) / 2**19),))])
-        assert not _exact_extension(sp, [StepCdf(((0.125, v),))])
-        assert _exact_extension(self.SPACE, [StepCdf(((0.125, v),))])  # min takes either
+        assert _exact_envelope(sp, [StepCdf(((0.125, (2**16 + 1) / 2**19),))])
+        assert not _exact_envelope(sp, [StepCdf(((0.125, v),))])
+        assert _exact_envelope(self.SPACE, [StepCdf(((0.125, v),))])  # min takes either
+
+    @pytest.mark.parametrize(
+        "num, q, exact",
+        [(1, 19, True), (1, 20, False), (2**17 - 1, 17, True), (2**18 - 1, 18, False)],
+        ids=["q=19", "q=20", "b=17", "b=18"],
+    )
+    def test_value_rule_boundaries_under_product(self, num, q, exact):
+        sp = gen_space(5, 4, "repair", STAR_PROD)
+        assert _exact_envelope(sp, [StepCdf(((0.125, num / 2**q),))]) is exact
+
+    @pytest.mark.parametrize("top, exact", [(2.0**11 - 2.0**-39, True), (2.0**11, False)], ids=["below", "at"])
+    def test_breakpoint_bound_is_joint(self, top, exact):
+        # one anchor value sets 2^e = 2^39, another the top: top * 2^e just
+        # below 2^50, and at it
+        values = [StepCdf(((2.0**-39, 0.5),)), StepCdf(((top, 0.5),))]
+        assert _exact_envelope(self.SPACE, values) is exact
 
     @pytest.mark.parametrize("v", [1 / 3, 2.0**-45], ids=["not-dyadic", "finer-than-tol"])
     def test_value_grid_under_lukasiewicz(self, v):
         sp = gen_space(5, 4, "repair", STAR_LUKA)
-        assert not _exact_extension(sp, [StepCdf(((0.125, v),))])
+        assert not _exact_envelope(sp, [StepCdf(((0.125, v),))])
 
     def test_values_finer_than_tol_keep_the_scan(self):
         # breakpoints in eighths, values 2^-43 apart: validation accepts
@@ -374,7 +402,7 @@ class TestCertifiedByTheorem:
 
     def test_custom_star(self):
         sp = gen_space(5, 4, "repair", CUSTOM_MIN)
-        assert sp._grid is None and not _exact_extension(sp, [self.EIGHTH])
+        assert sp._grid is None and not _exact_envelope(sp, [self.EIGHTH])
 
     def test_hand_built_space_keeps_its_scan(self):
         # d(p0, p2) = 5 > 1 + 1 = d(p0, p1) + d(p1, p2): make_space rejects it,

@@ -385,6 +385,24 @@ class TestClosureCertificate:
     def test_guard_false(self, F, star):
         assert not spaces._exact_closure(equilateral(3, F), star)
 
+    @pytest.mark.parametrize(
+        "n, num, q, exact",
+        [
+            (2, 1, 19, True), (2, 1, 20, False), (2, 2**17 - 1, 17, True), (2, 2**18 - 1, 18, False),
+            (2, 1, 13, True), (2, 1, 14, True),
+            (3, 1, 19, True), (3, 1, 20, False), (3, 2**17 - 1, 17, True), (3, 2**18 - 1, 18, False),
+            (3, 1, 13, True), (3, 1, 14, True),
+            (4, 1, 19, False), (4, 1, 20, False), (4, 2**17 - 1, 17, False), (4, 2**18 - 1, 18, False),
+            (4, 1, 13, True), (4, 1, 14, False),
+        ],
+    )
+    def test_value_rule_boundaries_under_product(self, n, num, q, exact):
+        # products of pairs stay on a grid coarser than TOL (q <= 19) and of
+        # triples exact (b <= 17), and products of n-1 values both
+        F = StepCdf(((1.0, num / 2**q),))
+        assert spaces._exact_closure(equilateral(n, F), STAR_PROD) is exact
+        assert spaces._exact_closure(equilateral(n, F), STAR_MIN)
+
     def test_map_drawing_reads_the_grid(self):
         assert gen_space(0, 8, "repair")._grid is not None
 
