@@ -31,8 +31,11 @@ from .tnorms import (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _load(path: str, kind: str, tnorm_override: str | None = None) -> Document:
@@ -93,6 +96,8 @@ def cmd_check_tnorm(args) -> int:
 
 
 def cmd_check_star(args) -> int:
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     star = BUILTIN_STARS[args.tnorm]
     rng = random.Random(args.seed)
     report = check_triangle_axioms(star, random_triples(rng, args.samples), args.tol)
@@ -216,7 +221,7 @@ def cmd_gen_lip(args) -> int:
 def _add_tnorm(p: argparse.ArgumentParser, default: str | None = None) -> None:
     """``--tnorm``; with no default, a space document keeps its own t-norm."""
     shown = default or "the space document's"
-    p.add_argument("--tnorm", choices=["min", "prod", "luka"], default=default,
+    p.add_argument("--tnorm", choices=BUILTIN_STARS, default=default,
                    help=f"t-norm generating the triangle operation (default: {shown})")
 
 
@@ -255,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_quantize)
 
     p = sub.add_parser("check-tnorm", help="grid check of the t-norm axioms")
-    p.add_argument("name", choices=["min", "prod", "luka"])
+    p.add_argument("name", choices=BUILTIN_TNORMS)
     p.set_defaults(handler=cmd_check_tnorm)
 
     p = sub.add_parser("check-star", help="triangle-function axioms on seeded random triples")
@@ -356,8 +361,8 @@ def run_command(argv) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:  # an input or --out path that cannot be opened
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except PmsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -17,13 +17,10 @@ from typing import Any
 from .cdf import StepCdf, make_step_cdf
 from .errors import ParseError, ValidationError
 from .spaces import ProbMetricSpace, make_space
-from .tnorms import BUILTIN_STARS, LUKASIEWICZ, MINIMUM, PRODUCT
+from .tnorms import BUILTIN_STARS, BUILTIN_TNORMS
 
 VERSION = "0.1.0"
 KINDS = ("cdf", "space", "map", "map_sequence", "report")
-
-# canonical short names for serializing the operation of a space
-_TNORM_NAMES = {id(MINIMUM): "min", id(PRODUCT): "prod", id(LUKASIEWICZ): "luka"}
 
 
 @dataclass(frozen=True)
@@ -69,6 +66,8 @@ def parse_document(text: str, tnorm_override: str | None = None) -> Document:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
     except ValueError as exc:  # an integer of more than 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("document must be a JSON object")
     kind = obj.get("kind")
@@ -87,7 +86,7 @@ def parse_document(text: str, tnorm_override: str | None = None) -> Document:
         if not isinstance(points, list) or not points:
             raise ParseError("space document needs a nonempty points list")
         name = tnorm_override or obj.get("tnorm", "min")
-        if name not in BUILTIN_STARS:
+        if not isinstance(name, str) or name not in BUILTIN_STARS:
             raise ParseError(f"unknown t-norm {name!r}")
         dist = obj.get("dist")
         if not isinstance(dist, list):
@@ -146,7 +145,7 @@ def serialize_document(doc: Document) -> str:
         body["points"] = _cdf_to_json(doc.payload)
     elif doc.kind == "space":
         space: ProbMetricSpace = doc.payload
-        name = _TNORM_NAMES.get(id(space.star.tnorm))
+        name = next((k for k, T in BUILTIN_TNORMS.items() if T is space.star.tnorm), None)
         if name is None:
             raise ValidationError("only spaces over built-in t-norms are serializable")
         body["points"] = [str(p) for p in space.points]

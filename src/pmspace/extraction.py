@@ -88,8 +88,6 @@ def extract_uniform_subsequence(
     for x in space.points:
         sub = select_cauchy_subsequence([maps[i].values[x] for i in selected], eps / 2.0)
         selected = [selected[k] for k in sub]
-        if not selected:
-            raise InsufficientSequence(f"refinement emptied at point {x!r}")
     limit = maps[selected[-1]]
     return ExtractionReport(
         selected=tuple(selected),

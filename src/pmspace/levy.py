@@ -199,11 +199,19 @@ def uniform_distance(f, g, points: Sequence) -> float:
     return max([0.0] + [levy_distance(F, G) for F, G in zip(fs, gs)])
 
 
+def _tail(seq: Iterable, tol: float, tail: int) -> list:
+    """The window of the convergence checks; PreconditionViolated unless
+    ``0 < tail <= len(seq)`` and ``tol > 0``, which also rejects NaN."""
+    seq = list(seq)
+    if not (0 < tail <= len(seq)):
+        raise PreconditionViolated(f"tail must lie in [1, {len(seq)}], got {tail}")
+    if not (tol > 0.0):
+        raise PreconditionViolated(f"tolerance must be positive, got {tol}")
+    return seq[-tail:]
+
+
 def is_weak_limit(seq: Iterable[StepCdf], F: StepCdf, tol: float, tail: int) -> bool:
     """True iff the last ``tail`` members of the sequence are within ``tol``
     of F in the modified Levy distance.  This is the finite-sequence reading
     of weak convergence: the distance metrizes it."""
-    seq = list(seq)
-    if not (0 < tail <= len(seq)):
-        raise PreconditionViolated(f"tail must lie in [1, {len(seq)}], got {tail}")
-    return all(levy_distance(Fn, F) < tol for Fn in seq[-tail:])
+    return all(levy_distance(Fn, F) < tol for Fn in _tail(seq, tol, tail))

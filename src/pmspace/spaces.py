@@ -39,7 +39,7 @@ from .errors import (
     TriangleViolation,
     UnknownPoint,
 )
-from .levy import levy_to_h0
+from .levy import _tail, levy_to_h0
 from .tnorms import PRODUCT, STAR_LUKA, STAR_MIN, STAR_PROD, TNorm, TriangleFunction
 
 
@@ -347,10 +347,7 @@ def is_cauchy(space: ProbMetricSpace, seq: Sequence, tol: float, tail: int) -> b
     """True iff all pairwise distances over the last ``tail`` entries are
     within ``tol`` of the unit step at 0 (measured by the exact distance to
     it, which is what weak convergence to the zero-distance reduces to)."""
-    seq = list(seq)
-    if not (0 < tail <= len(seq)):
-        raise PreconditionViolated(f"tail must lie in [1, {len(seq)}], got {tail}")
-    window = seq[-tail:]
+    window = _tail(seq, tol, tail)
     for a in window:
         for b in window:
             if levy_to_h0(space.dist(a, b)) >= tol:

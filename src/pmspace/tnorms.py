@@ -58,16 +58,6 @@ MINIMUM = TNorm("minimum", _minimum)
 PRODUCT = TNorm("product", _product)
 LUKASIEWICZ = TNorm("lukasiewicz", _lukasiewicz)
 
-BUILTIN_TNORMS = {
-    "minimum": MINIMUM,
-    "product": PRODUCT,
-    "lukasiewicz": LUKASIEWICZ,
-    # CLI aliases
-    "min": MINIMUM,
-    "prod": PRODUCT,
-    "luka": LUKASIEWICZ,
-}
-
 
 def tnorm_eval(T: TNorm, x: float, y: float) -> float:
     if not (0.0 <= x <= 1.0) or not (0.0 <= y <= 1.0):
@@ -78,14 +68,14 @@ def tnorm_eval(T: TNorm, x: float, y: float) -> float:
 TNORM_AXIOMS = ("closure", "commutativity", "associativity", "monotonicity", "boundary")
 
 
-def tnorm_axiom_failures(T: TNorm, steps: int = 64) -> list[str]:
+def tnorm_axiom_failures(T: TNorm) -> list[str]:
     """Grid check of the t-norm axioms; returns the names of failed axioms,
     in :data:`TNORM_AXIOMS` order.
 
-    The grid {k/steps} is dyadic for the default 64, so the built-ins pass
-    with exact arithmetic; comparisons allow TOL.
+    The grid {k/64} is dyadic, so the built-ins pass with exact arithmetic;
+    comparisons allow TOL.
     """
-    grid = [k / steps for k in range(steps + 1)]
+    grid = [k / 64 for k in range(65)]
     closure_ok = commut_ok = boundary_ok = True
     for x in grid:  # the grid ends at 1, so y covers closure at the boundary
         if abs(T.fn(x, 1.0) - x) > TOL:
@@ -113,10 +103,10 @@ def tnorm_axiom_failures(T: TNorm, steps: int = 64) -> list[str]:
     return [name for name, ok in zip(TNORM_AXIOMS, oks) if not ok]
 
 
-def custom_tnorm(name: str, fn: Callable[[float, float], float], steps: int = 64) -> TNorm:
+def custom_tnorm(name: str, fn: Callable[[float, float], float]) -> TNorm:
     """Wrap a user-supplied operation after a grid check of the axioms."""
     T = TNorm(name, fn)
-    failed = tnorm_axiom_failures(T, steps)
+    failed = tnorm_axiom_failures(T)
     if failed:
         raise ValidationError(f"operation {name!r} fails t-norm axioms on the grid: {failed}")
     return T
@@ -172,8 +162,9 @@ STAR_MIN = star_from_tnorm(MINIMUM)
 STAR_PROD = star_from_tnorm(PRODUCT)
 STAR_LUKA = star_from_tnorm(LUKASIEWICZ)
 
-_STAR_OF = {S.tnorm: S for S in (STAR_MIN, STAR_PROD, STAR_LUKA)}
-BUILTIN_STARS = {name: _STAR_OF[T] for name, T in BUILTIN_TNORMS.items()}
+# the names that space documents and ``--tnorm`` carry; the only list of them
+BUILTIN_STARS = {"min": STAR_MIN, "prod": STAR_PROD, "luka": STAR_LUKA}
+BUILTIN_TNORMS = {name: star.tnorm for name, star in BUILTIN_STARS.items()}
 
 
 @dataclass

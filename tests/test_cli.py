@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 
 from pmspace import (
     BUILTIN_STARS,
+    BUILTIN_TNORMS,
     Document,
     gen_space,
     make_step_cdf,
@@ -263,12 +264,58 @@ class TestExitCodes:
         got, out, err = run(capsys, "dl", str(f), str(f))
         assert got == code and out == "" and error in err
 
+    def test_directory_as_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "dl", str(tmp_path), str(tmp_path))
+        assert code == 2 and out == "" and err.count("\n") == 1 and str(tmp_path) in err
+
+    def test_directory_as_out(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen", "cdf", "--seed", "1", "--out", str(tmp_path))
+        assert code == 2 and out == "" and err.count("\n") == 1 and str(tmp_path) in err
+        assert "cannot read input" not in err
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        f = tmp_path / "f.cdf"
+        f.write_bytes(b'\xff{"kind":"cdf","points":[]}')
+        code, out, err = run(capsys, "dl", str(f), str(f))
+        assert code == 2 and out == "" and err.count("\n") == 1 and str(f) in err
+
+    def test_nesting_past_the_recursion_limit(self, capsys, tmp_path):
+        f = tmp_path / "f.cdf"
+        f.write_text("[" * 100_000)
+        code, out, err = run(capsys, "dl", str(f), str(f))
+        assert code == 2 and out == "" and err == "parse error: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_check_star_needs_a_sample(self, capsys, samples):
+        code, out, err = run(capsys, "check-star", "--seed", "1", "--samples", samples)
+        assert code == 2 and out == "" and "--samples must be at least 1" in err
+
     def test_long_integer_labels_keep_their_digits(self, capsys, tmp_path):
         a, b = 10**301, 10**301 + 1
         f = tmp_path / "s.pms"
         f.write_text(json.dumps({"kind": "space", "points": [a, b], "dist": [[[[0, 1]], [[1, 1]]], [[[1, 1]], [[0, 1]]]]}))
         code, out, _ = run(capsys, "net", str(f), "--t", "0.5")
         assert code == 0 and sorted(out.split()) == sorted([str(a), str(b)])
+
+
+class TestTnormNames:
+    """``BUILTIN_TNORMS`` is the one table of names documents and options use."""
+
+    @pytest.mark.parametrize("name", list(BUILTIN_TNORMS))
+    def test_name_round_trips(self, capsys, name):
+        code, out, _ = run(capsys, "gen", "space", "--seed", "0", "--n", "4", "--model", "repair", "--tnorm", name)
+        assert code == 0 and json.loads(out)["tnorm"] == name
+        assert parse_document(out).payload.star is BUILTIN_STARS[name]
+        assert run(capsys, "check-tnorm", name)[0] == 0
+
+    @pytest.mark.parametrize("name", ["minimum", "product", "lukasiewicz", [], {}])
+    def test_unknown_names_rejected(self, capsys, tmp_path, name):
+        # no version of pms has written the long names, so only the short ones
+        # are read; a list or an object is no name at all
+        f = tmp_path / "s.pms"
+        f.write_text(json.dumps({"kind": "space", "points": ["a"], "tnorm": name, "dist": [[[[0, 1]]]]}))
+        code, out, err = run(capsys, "check-space", str(f))
+        assert code == 2 and out == "" and err == f"parse error: unknown t-norm {name!r}\n"
 
 
 class TestDeterminism:

@@ -97,7 +97,7 @@ class TestSerialize:
     def test_custom_star_not_serializable(self):
         from pmspace import star_from_tnorm, custom_tnorm
 
-        T = custom_tnorm("mine", min, steps=8)
+        T = custom_tnorm("mine", min)
         sp = gen_space(1, 2, "metric", star_from_tnorm(T))
         with pytest.raises(ValidationError):
             serialize_document(Document("space", sp, {"version": VERSION}))

@@ -257,6 +257,11 @@ class TestWeakLimit:
         with pytest.raises(PreconditionViolated):
             is_weak_limit([H0], H0, tol=0.1, tail=2)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.1])
+    def test_tolerance_validation(self, tol):
+        with pytest.raises(PreconditionViolated, match="tolerance must be positive"):
+            is_weak_limit([H0] * 3, H0, tol=tol, tail=2)
+
 
 class TestMetricAxioms:
     def test_seeded_suite(self):

@@ -521,6 +521,14 @@ class TestIsCauchy:
         seq = ["p2", "p2", "p0", "p1", "p0", "p1", "p0"]
         assert is_cauchy(sp, seq, tol=0.25, tail=4)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.1])
+    def test_tolerance_validation(self, tol):
+        # no distance compares >= NaN, so a NaN tolerance would accept any sequence
+        sp = gen_space(0, 4, "repair")
+        assert not is_cauchy(sp, sp.points, tol=0.01, tail=4)
+        with pytest.raises(PreconditionViolated, match="tolerance must be positive"):
+            is_cauchy(sp, sp.points, tol=tol, tail=4)
+
 
 class TestCoveringNet:
     def test_large_radius_gives_singleton(self):
