@@ -100,7 +100,7 @@ def cmd_check_star(args) -> int:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     star = BUILTIN_STARS[args.tnorm]
     rng = random.Random(args.seed)
-    report = check_triangle_axioms(star, random_triples(rng, args.samples), args.tol)
+    report = check_triangle_axioms(star, random_triples(rng, args.samples))
     for axiom in STAR_AXIOMS:
         print(f"{axiom}: {'ok' if getattr(report, axiom) else 'FAIL'}")
     if not report.all_ok:
@@ -129,7 +129,7 @@ def cmd_check_lip(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    space = _load(args.space, "space", args.tnorm).payload
+    space = _load(args.space, "space").payload
     partial = _load(args.map, "map").payload
     extended = upper_envelope_extension(space, sorted(partial, key=space.index), partial)
     _emit(Document("map", extended.values, _meta()), args.out)
@@ -137,20 +137,20 @@ def cmd_extend(args) -> int:
 
 
 def cmd_embed_delta(args) -> int:
-    space = _load(args.space, "space", args.tnorm).payload
+    space = _load(args.space, "space").payload
     _emit(Document("map", delta_embed(space, args.point).values, _meta()), args.out)
     return 0
 
 
 def cmd_net(args) -> int:
-    space = _load(args.space, "space", args.tnorm).payload
+    space = _load(args.space, "space").payload
     for p in covering_net(space, args.t):
         print(p)
     return 0
 
 
 def cmd_extract(args) -> int:
-    space = _load(args.space, "space", args.tnorm).payload
+    space = _load(args.space, "space").payload
     seq = _load(args.maps, "map_sequence").payload
     maps = []
     for i, values in enumerate(seq):
@@ -176,12 +176,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_converse(args) -> int:
-    space = _load(args.space, "space", args.tnorm).payload
+    space = _load(args.space, "space").payload
     if args.points:
         walk = [p.strip() for p in args.points.split(",") if p.strip()]
     else:
         if args.seed is None:
             raise ParseError("converse needs --points or --seed with --steps")
+        if args.steps < 1:
+            raise ParseError(f"--steps must be at least 1, got {args.steps}")
         rng = random.Random(f"walk:{args.seed}")
         walk = [rng.choice(space.points) for _ in range(args.steps)]
     selected, cauchy_ok = converse_compactness_witness(space, walk, args.eps)
@@ -211,7 +213,7 @@ def cmd_gen_cdf(args) -> int:
 
 
 def cmd_gen_lip(args) -> int:
-    space = _load(args.space, "space", args.tnorm).payload
+    space = _load(args.space, "space").payload
     rng = random.Random(f"lip:{args.seed}")
     f = random_lipschitz_map(space, rng)
     _emit(Document("map", f.values, _meta(args.seed)), args.out)
@@ -267,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_tnorm(p, "min")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=cmd_check_star)
 
     p = sub.add_parser("check-space", help="validate a space document against the axioms")
@@ -284,21 +285,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="1-Lipschitz envelope extension of a partial map")
     p.add_argument("space")
     p.add_argument("map")
-    _add_tnorm(p)
     _add_out(p)
     p.set_defaults(handler=cmd_extend)
 
     p = sub.add_parser("embed-delta", help="distance embedding of a point as a map document")
     p.add_argument("space")
     p.add_argument("point")
-    _add_tnorm(p)
     _add_out(p)
     p.set_defaults(handler=cmd_embed_delta)
 
     p = sub.add_parser("net", help="greedy covering net at radius t")
     p.add_argument("space")
     p.add_argument("--t", type=float, required=True)
-    _add_tnorm(p)
     p.set_defaults(handler=cmd_net)
 
     p = sub.add_parser(
@@ -309,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("space")
     p.add_argument("maps")
     p.add_argument("--eps", type=float, required=True)
-    _add_tnorm(p)
     _add_out(p)
     p.set_defaults(handler=cmd_extract)
 
@@ -319,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="comma-separated point walk")
     p.add_argument("--seed", type=int, help="seeded random walk instead of --points")
     p.add_argument("--steps", type=int, default=200)
-    _add_tnorm(p)
     _add_out(p)
     p.set_defaults(handler=cmd_converse)
 
@@ -343,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("lip", help="random certified 1-Lipschitz map on a space")
     g.add_argument("space")
     g.add_argument("--seed", type=int, required=True)
-    _add_tnorm(g)
     _add_out(g)
     g.set_defaults(handler=cmd_gen_lip)
 

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -22,7 +24,7 @@ from pmspace import (
     random_lipschitz_map,
     serialize_document,
 )
-from pmspace.cli import run_command
+from pmspace.cli import _build_parser, run_command
 from pmspace.errors import PmsError
 
 from strategies import cdfs, shifted_copies, window_cdfs
@@ -239,10 +241,6 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert "PreconditionViolated" in err and "Traceback" not in err
 
-    def test_check_star_nan_tolerance(self, capsys):
-        code, out, err = run(capsys, "check-star", "--seed", "1", "--samples", "3", "--tol", "nan")
-        assert code == 1 and out == "" and "PreconditionViolated" in err
-
     @pytest.mark.parametrize("delta", ["1e-155", "1e-200"])
     def test_quantize_delta_beyond_the_float_horizon(self, capsys, tmp_path, delta):
         f = tmp_path / "f.cdf"
@@ -289,6 +287,40 @@ class TestExitCodes:
     def test_check_star_needs_a_sample(self, capsys, samples):
         code, out, err = run(capsys, "check-star", "--seed", "1", "--samples", samples)
         assert code == 2 and out == "" and "--samples must be at least 1" in err
+
+    @pytest.mark.parametrize("steps", ["-2", "0"])
+    def test_converse_needs_a_step(self, capsys, tmp_path, steps):
+        s = str(tmp_path / "s.pms")
+        assert run_command(["gen", "space", "--seed", "1", "--n", "3", "--out", s]) == 0
+        code, out, err = run(capsys, "converse", s, "--seed", "1", "--steps", steps, "--eps", "0.1")
+        assert code == 2 and out == "" and err == f"parse error: --steps must be at least 1, got {steps}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extend", "s.pms", "m.map"],
+            ["gen", "lip", "s.pms", "--seed", "1"],
+            ["embed-delta", "s.pms", "p0"],
+            ["net", "s.pms", "--t", "0.5"],
+            ["extract", "s.pms", "m.seq", "--eps", "0.5"],
+            ["converse", "s.pms", "--seed", "1", "--eps", "0.5"],
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "gen" else "gen-lip",
+    )
+    def test_space_commands_take_no_tnorm(self, capsys, tmp_path, argv):
+        # a space's t-norm is the one its document names; without the
+        # option each of these runs on the same files
+        s, m = str(tmp_path / "s.pms"), str(tmp_path / "m.map")
+        assert run_command(["gen", "space", "--seed", "1", "--n", "3", "--out", s]) == 0
+        assert run_command(["embed-delta", s, "p0", "--out", m]) == 0
+        values = json.loads(Path(m).read_text())["values"]
+        (tmp_path / "m.seq").write_text(json.dumps({"kind": "map_sequence", "maps": [values]}))
+        argv = [str(tmp_path / a) if a in ("s.pms", "m.map", "m.seq") else a for a in argv]
+        assert run(capsys, *argv)[0] == 0
+        out = tmp_path / "out.json"
+        argv += ["--tnorm", "min"] + (["--out", str(out)] if argv[0] != "net" else [])
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 2 and stdout == "" and not out.exists()
 
     def test_long_integer_labels_keep_their_digits(self, capsys, tmp_path):
         a, b = 10**301, 10**301 + 1
@@ -346,6 +378,18 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "boundary: ok" in proc.stdout
+
+
+def test_readme_commands_parse():
+    # every pms line of the bash block under README "Command line" parses;
+    # the input files need not exist, only the option surface is checked
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("pms ")]
+    assert commands
+    parser = _build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 # --- fuzzing ------------------------------------------------------------------

@@ -105,6 +105,25 @@ class TestExtractUniformSubsequence:
         assert worst <= 0.05 + 1e-9
         assert worst == pytest.approx(report.pairwise_dinf, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.1, 0.05])
+    def test_converging_sequence_clusters_distinct_maps(self, eps):
+        # f_j = tau_min(H(2^-j), g) shifts g right by 2^-j, so the selected
+        # maps are distinct and their pairwise distance is positive
+        sp = gen_space(3, 5, "repair")
+        g = random_lipschitz_map(sp, random.Random(1))
+        maps = [
+            LipschitzMap(sp, {x: sup_convolution(MINIMUM, heaviside(2.0**-j), g[x]) for x in sp.points})
+            for j in range(1, 13)
+        ]
+        report = extract_uniform_subsequence(sp, maps, eps)
+        assert report.pairwise_dinf > 0.0
+        assert report.pairwise_dinf == max(
+            uniform_distance(maps[a], maps[b], sp.points)
+            for a in report.selected
+            for b in report.selected
+        )
+        assert report.success
+
     def test_empty_input(self):
         sp = gen_space(1, 3, "metric")
         with pytest.raises(InsufficientSequence):

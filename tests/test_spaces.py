@@ -430,6 +430,21 @@ class TestFromClassicalMetric:
     def test_euclidean_points_on_line(self):
         sp = heaviside_space([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         assert len(sp) == 3
+        assert "p2" in sp and "p3" not in sp
+
+    @pytest.mark.parametrize(
+        "d, witness",
+        [
+            ([[0.0, 1.0], [1.0]], None),  # not n x n
+            ([[0.0, 1.0], [1.0, 0.5]], ("p1",)),  # nonzero diagonal
+            ([[0.0, 1.0], [2.0, 0.0]], ("p0", "p1")),  # asymmetric
+        ],
+        ids=["shape", "diagonal", "asymmetric"],
+    )
+    def test_not_a_metric_rejected(self, d, witness):
+        with pytest.raises(NotAMetric) as err:
+            heaviside_space(d)
+        assert err.type is NotAMetric and err.value.witness == witness
 
     def test_triangle_failure_rejected(self):
         # validation is the triangle check: 1 + 1 < 3 fails at t = 3
