@@ -77,7 +77,6 @@ from .tnorms import (
     random_triples,
     star_from_tnorm,
     sup_convolution,
-    tnorm_eval,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .cdf import (
     H0,
+    INF,
     TOL,
     StepCdf,
     approx_equal,
@@ -40,7 +41,7 @@ from .errors import (
     UnknownPoint,
 )
 from .levy import _tail, levy_to_h0
-from .tnorms import PRODUCT, STAR_LUKA, STAR_MIN, STAR_PROD, TNorm, TriangleFunction
+from .tnorms import MINIMUM, PRODUCT, STAR_LUKA, STAR_MIN, STAR_PROD, TNorm, TriangleFunction
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,10 @@ def _exact_grid(cdfs: Iterable[StepCdf]) -> tuple[int, float, int, int] | None:
 
 
 def _exact_on_grid(grid: tuple[int, float, int, int], sums: int, products: int, tnorm: TNorm) -> bool:
-    """The lemma of both theorem certificates: on data with
-    :func:`_exact_grid` ``(2**e, top, q, b)``, a built-in star, ``_envelope``
-    and ``leq`` compute in real arithmetic, for sums of ``sums`` breakpoints
-    and products of ``products`` values.
+    """The lemma of both theorem certificates and of the level scan: on
+    data with :func:`_exact_grid` ``(2**e, top, q, b)``, a built-in star,
+    ``_envelope`` and ``leq`` compute in real arithmetic, for sums of
+    ``sums`` breakpoints and products of ``products`` values.
 
     A sum of k breakpoints is a multiple of 2^-e of at most ``k * top``:
     exact when ``k * top * 2**e < 2^53``, and distinct sums lie 2^-e > TOL
@@ -175,11 +176,77 @@ def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -
     return True
 
 
-def _unit_step_locations(matrix: Sequence[Sequence[StepCdf]]) -> list[list[float]] | None:
-    """The locations ``a`` when every entry is a unit step ``((a, 1.0),)``,
-    H0 included; None otherwise."""
-    if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in matrix for F in row):
-        return [[F.breaks[0][0] for F in row] for row in matrix]
+def _quantile_table(m: Sequence[Sequence[StepCdf]]) -> tuple[list[float], list[list[list[float]]]]:
+    """The levels of m, its distinct values ascending, and the table
+    ``q[l][i][k]``: the quantile ``Q_v`` of ``m[i][k]`` at ``v = levels[l]``,
+    the first breakpoint at which the entry reaches v, or +inf where it never
+    does.  A cdf F reads at least v exactly at ``t > Q_v(F)``."""
+    levels = sorted({v for row in m for F in row for _, v in F.breaks})
+    q = [[[] for _ in m] for _ in levels]
+    for i, row in enumerate(m):
+        for F in row:
+            breaks, b = F.breaks, 0
+            for q_l, v in zip(q, levels):
+                while b < len(breaks) and breaks[b][1] < v:
+                    b += 1
+                q_l[i].append(breaks[b][0] if b < len(breaks) else INF)
+    return levels, q
+
+
+def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> list | None:
+    """The quantile table on which :func:`_level_failure` decides the triangle
+    scan of a prunable m exactly, or None where it would not.
+
+    For T = min, ``tau_min(F, G)(t) >= v`` exactly when
+    ``t > Q_v(F) + Q_v(G)`` (Schweizer & Sklar, ch. 7), so a triple fails
+    exactly when ``Q_v[i][j] + Q_v[j][k] < Q_v[i][k]`` at some level v.  In
+    floating point that holds in two cases:
+
+    - one level, every entry a unit step H(d), as lifted classical metrics
+      and maps are, under any built-in star: T(1, 1) = 1 for every t-norm,
+      so ``star(H(a), H(b))`` is H(fl(a + b)), or empty when the sum
+      overflows, and ``H(s) <= H(c)`` fails exactly when s < c, first at
+      t = c.  The table holds ``Q_1``, the locations d;
+    - several levels under STAR_MIN, when :func:`_exact_on_grid` holds on
+      the entries for sums of 2 breakpoints: the star, ``_envelope`` and
+      ``leq`` then compute in real arithmetic.  Only the square scan
+      (k0 = 0) takes it: for a map column the table costs more than the
+      n(n-1) star calls it saves.
+    """
+    if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in m for F in row):
+        return [[[F.breaks[0][0] for F in row] for row in m]]
+    if star is not STAR_MIN or k0 != 0:
+        return None
+    grid = _exact_grid(F for row in m for F in row)
+    if grid is None or not _exact_on_grid(grid, 2, 2, MINIMUM):
+        return None
+    return _quantile_table(m)[1]
+
+
+def _level_failure(q: list[list[list[float]]], k0: int) -> tuple[int, int, int] | None:
+    """The first ``(i, j, k)`` in :func:`_triangle_failure`'s pruned order
+    with ``q[l][i][j] + q[l][j][k] < q[l][i][k]`` at some level l, or None.
+    A single level is scanned without the loop over levels."""
+    d = q[0]
+    n, one = len(d), len(q) == 1
+    for i in range(n):
+        d_i = d[i]
+        ks = range(max(k0, i + 1), len(d_i))
+        for j in range(n):
+            if j == i:
+                continue
+            if one:
+                d_ij, d_j = d_i[j], d[j]
+                for k in ks:
+                    if k != j and d_ij + d_j[k] < d_i[k]:
+                        return i, j, k
+                continue
+            rows = [(q_l[i][j], q_l[j], q_l[i]) for q_l in q]
+            for k in ks:
+                if k != j:
+                    for q_ij, q_j, q_i in rows:
+                        if q_ij + q_j[k] < q_i[k]:
+                            return i, j, k
     return None
 
 
@@ -198,28 +265,22 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
     bounds everything, and for k < i in the square ``(k, j, i)`` computes bit
     for bit the same check, so the first failure of the full scan is kept.
 
-    When such a matrix holds only unit steps H(d) (a classical metric, or a
-    classically Lipschitz map, lifted), the scan reads the locations d and
-    makes no star call: T(1, 1) = 1 for every t-norm, so ``star(H(a), H(b))``
-    is H(fl(a + b)), or empty when the sum overflows, and the witness of
-    ``H(s) <= H(c)`` is c exactly when s < c.  A triple fails at
-    ``t = d[i][k]`` when ``d[i][j] + d[j][k] < d[i][k]``.
+    Where :func:`_level_table` holds, the pruned triples are decided on
+    quantiles with float sums (:func:`_level_failure`).  The witness t of
+    the first failing triple is the location c of ``m[i][k] = H(c)`` when
+    every value is 1, and otherwise comes from one star call.
     """
     n = len(m)
     prune = _prunable(m, star, k0)
-    d = _unit_step_locations(m) if prune else None
-    if d is not None:
-        for i in range(n):
-            d_i = d[i]
-            ks = range(max(k0, i + 1), len(d_i))
-            for j in range(n):
-                if j == i:
-                    continue
-                d_ij, d_j = d_i[j], d[j]
-                for k in ks:
-                    if k != j and d_ij + d_j[k] < d_i[k]:
-                        return i, j, k, d_i[k]
-        return None
+    q = _level_table(m, star, k0) if prune else None
+    if q is not None:
+        failure = _level_failure(q, k0)
+        if failure is None:
+            return None
+        i, j, k = failure
+        if len(q) == 1 and q[0][i][k] < INF:  # unit steps: H(s) <= H(c) fails first at c
+            return i, j, k, q[0][i][k]
+        return i, j, k, leq_witness(star(m[i][j], m[j][k]), m[i][k])
     for i in range(n):
         row_i = m[i]
         ks = range(max(k0, i + 1) if prune else k0, len(row_i))
@@ -377,14 +438,22 @@ def covering_net(space: ProbMetricSpace, t: float) -> tuple:
 
 
 def _floyd_warshall(d: list[list[float]]) -> None:
+    """Shortest paths in place over a symmetric matrix of weights with a
+    zero diagonal, +inf for no edge.  Row and column k do not change in
+    round k, so each pair i < j is relaxed once and written to both
+    halves."""
     n = len(d)
     for k in range(n):
+        d_k = d[k]
         for i in range(n):
-            dik = d[i][k]
-            for j in range(n):
-                alt = dik + d[k][j]
-                if alt < d[i][j]:
-                    d[i][j] = alt
+            d_i = d[i]
+            dik = d_i[k]
+            if dik == INF:
+                continue
+            for j in range(i + 1, n):
+                alt = dik + d_k[j]
+                if alt < d_i[j]:
+                    d_i[j] = d[j][i] = alt
 
 
 def _random_metric(rng: random.Random, n: int) -> list[list[float]]:
@@ -433,6 +502,36 @@ def _close_triangle(matrix: list[list[StepCdf]], star: TriangleFunction) -> None
                     row_i[j] = matrix[j][i] = pointwise_sup([row_i[j], cand])
 
 
+def _close_levels(matrix: list[list[StepCdf]]) -> None:
+    """:func:`_close_triangle` under STAR_MIN, level by level: one
+    :func:`_floyd_warshall` per value level on the quantiles
+    (:func:`_quantile_table`), then each entry rebuilt from its own.
+
+    ``Q_v(tau_min(F, G)) = Q_v(F) + Q_v(G)`` and
+    ``Q_v(sup(F, G)) = min(Q_v(F), Q_v(G))``, so at every level v the closure
+    is the classical shortest-path closure of Q_v (Lehmann 1977).  The
+    closed entry jumps to v at its Q_v, and takes the highest level where
+    several share a breakpoint.  Where :func:`_exact_closure` holds the sums
+    are exact, so this is the real closure, as the star pass is there.
+    """
+    levels, q = _quantile_table(matrix)
+    for d in q:
+        _floyd_warshall(d)
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i + 1, n):
+            breaks: list[tuple[float, float]] = []
+            for d, v in zip(q, levels):
+                t = d[i][j]
+                if t == INF:  # quantiles rise with the level
+                    break
+                if breaks and breaks[-1][0] == t:
+                    breaks[-1] = (t, v)
+                else:
+                    breaks.append((t, v))
+            matrix[i][j] = matrix[j][i] = StepCdf(tuple(breaks))
+
+
 def gen_space(
     seed: int,
     n: int,
@@ -463,7 +562,10 @@ def gen_space(
     star stays within 2^-53 of the real star, below TOL, so its triangle
     scan cannot fail; identity and symmetry hold by construction.  So the
     scan is skipped.  On the drawn grid the guard holds for n <= 10 under
-    product and for every n under min and Lukasiewicz.
+    product and for every n under min and Lukasiewicz.  Under STAR_MIN the
+    guarded pass runs level by level (:func:`_close_levels`): each of its
+    sums adds two simple paths, at most 2(n-1) drawn breakpoints, so it is
+    exact too and gives the same closure.
 
     Custom stars and draws off the guard are validated: an operation for
     which the pass is not the closure raises TriangleViolation, and one that
@@ -496,7 +598,10 @@ def gen_space(
         for j in range(i + 1, n):
             matrix[i][j] = matrix[j][i] = draw()
     exact = _exact_closure(matrix, star)
-    _close_triangle(matrix, star)
+    if exact and star is STAR_MIN:
+        _close_levels(matrix)
+    else:
+        _close_triangle(matrix, star)
     if exact:
         return _certified(labels, matrix, star)
     return make_space(labels, matrix, star)

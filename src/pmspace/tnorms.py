@@ -28,7 +28,7 @@ from .cdf import (
     pointwise_sup,
     random_step_cdf,
 )
-from .errors import ArgOutOfRange, EmptyFamily, PreconditionViolated, ValidationError
+from .errors import EmptyFamily, PreconditionViolated, ValidationError
 from .levy import is_weak_limit, levy_distance
 
 
@@ -57,12 +57,6 @@ def _lukasiewicz(x: float, y: float) -> float:
 MINIMUM = TNorm("minimum", _minimum)
 PRODUCT = TNorm("product", _product)
 LUKASIEWICZ = TNorm("lukasiewicz", _lukasiewicz)
-
-
-def tnorm_eval(T: TNorm, x: float, y: float) -> float:
-    if not (0.0 <= x <= 1.0) or not (0.0 <= y <= 1.0):
-        raise ArgOutOfRange(f"t-norm arguments must lie in [0, 1], got ({x}, {y})")
-    return T.fn(x, y)
 
 
 TNORM_AXIOMS = ("closure", "commutativity", "associativity", "monotonicity", "boundary")

@@ -156,9 +156,10 @@ class TestPrunedTriangleScan:
         assert raised > 60  # the corrupted copies do exercise the witness
 
     def test_call_count_builtin(self, monkeypatch):
-        # repair entries have several jumps, so this is the lattice scan
-        sp = gen_space(3, 10, "repair")
-        assert count_star_calls(monkeypatch, sp.points, sp.matrix, STAR_MIN) == 10 * 9 * 8 // 2
+        # repair entries have several jumps, so under product this is the
+        # lattice scan; under min the level scan decides them (TestLevelScan)
+        sp = gen_space(3, 10, "repair", STAR_PROD)
+        assert count_star_calls(monkeypatch, sp.points, sp.matrix, STAR_PROD) == 10 * 9 * 8 // 2
 
     def test_call_count_custom_star(self, monkeypatch):
         sp = gen_space(3, 10, "metric")
@@ -240,14 +241,15 @@ class TestUnitStepScan:
 
     def test_jump_below_one_takes_the_lattice_path(self, monkeypatch):
         # read as H(1), the entry would pass; the lattice sees H(2) above
-        # ((1, 0.5),) past t = 2 and reports the probe t = 3
+        # ((1, 0.5),) past t = 2 and reports the probe t = 3 (under min the
+        # level scan decides this matrix: TestLevelScan)
         labels = ("a", "b", "c", "d")
         m = equilateral(4)
         m[0][2] = m[2][0] = StepCdf(((1.0, 0.5),))
-        want = full_triangle_scan(labels, m, STAR_MIN)
+        want = full_triangle_scan(labels, m, STAR_PROD)
         assert want is not None and want[2][3] == 3.0
         calls = counted_star_calls(monkeypatch)
-        assert validation_outcome(labels, m, STAR_MIN) == want
+        assert validation_outcome(labels, m, STAR_PROD) == want
         assert calls
 
     def test_skips_the_diagonal(self):
@@ -266,6 +268,70 @@ class TestUnitStepScan:
             m[i][i] = StepCdf(((Zero(0.0), 1.0),))
         validate_space_matrix(sp.points, m, STAR_MIN)
         assert added == []
+
+
+def lowered(rng, m):
+    """A copy of m with one symmetric pair lowered on the grid: its last jump
+    dropped, or one jump moved right by 1/8 (dropped where it would reach the
+    next)."""
+    m = [list(row) for row in m]
+    i, k = rng.sample(range(len(m)), 2)
+    breaks = list(m[i][k].breaks)
+    if breaks and rng.random() < 0.5:
+        b = rng.randrange(len(breaks))
+        t, v = breaks[b]
+        if b + 1 < len(breaks) and breaks[b + 1][0] <= t + 0.125:
+            del breaks[b]
+        else:
+            breaks[b] = (t + 0.125, v)
+    elif breaks:
+        breaks.pop()
+    m[i][k] = m[k][i] = StepCdf(tuple(breaks))
+    return m
+
+
+class TestLevelScan:
+    """A min matrix on an exact grid is scanned on its quantiles, one
+    classical check per value level, with one star call for the witness;
+    verdict, message and witness must stay those of the full lattice scan."""
+
+    def test_matches_full_scan_on_lowered_min_spaces(self, monkeypatch):
+        rng = random.Random("level-scan")
+        checked = raised = 0
+        for n in range(3, 13):
+            for seed in range(25):
+                sp = gen_space(seed, n, "repair")
+                for _ in range(8):
+                    m = lowered(rng, sp.matrix)
+                    want = full_triangle_scan(sp.points, m, STAR_MIN)
+                    with monkeypatch.context() as patch:
+                        calls = counted_star_calls(patch)
+                        assert validation_outcome(sp.points, m, STAR_MIN) == want
+                    assert len(calls) == (want is not None)  # the level path ran
+                    checked += 1
+                    raised += want is not None
+        assert checked == 2000 and raised >= 1000 and checked - raised >= 200
+
+    def test_star_calls(self, monkeypatch):
+        sp = gen_space(3, 10, "repair")
+        m = [list(row) for row in sp.matrix]
+        m[0][1] = m[1][0] = StepCdf(m[0][1].breaks[:-1])
+        calls = counted_star_calls(monkeypatch)
+        assert validation_outcome(sp.points, sp.matrix, STAR_MIN) is None and calls == []
+        assert validation_outcome(sp.points, m, STAR_MIN)[0] is TriangleViolation
+        assert len(calls) == 1  # the witness of the first failing triple
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            StepCdf(((0.1, 0.5), (0.3, 1.0))),  # off the breakpoint grid
+            StepCdf(((1.0, 1 / 3), (2.0, 1.0))),  # off the value grid
+        ],
+        ids=["float-breakpoints", "float-values"],
+    )
+    def test_off_the_guard_takes_the_star_path(self, monkeypatch, F):
+        labels = tuple(f"p{i}" for i in range(10))
+        assert count_star_calls(monkeypatch, labels, equilateral(10, F), STAR_MIN) == 10 * 9 * 8 // 2
 
 
 class TestTriangleClosure:
@@ -289,6 +355,7 @@ class TestTriangleClosure:
                 got = gen_space(seed, n, "repair", star)
                 with monkeypatch.context() as m:
                     m.setattr(spaces, "_close_triangle", sweep)
+                    m.setattr(spaces, "_close_levels", lambda matrix: sweep(matrix, STAR_MIN))
                     want = gen_space(seed, n, "repair", star)
                 assert got.matrix == want.matrix
 
@@ -321,6 +388,50 @@ class TestTriangleClosure:
                 assert gen_space(seed, n, "repair", star).star is star
 
 
+class TestLevelClosure:
+    """Under STAR_MIN a guarded repair draw is closed level by level; the
+    result must be the star pass's."""
+
+    def test_matches_the_star_pass(self, monkeypatch):
+        level, closed = spaces._close_levels, []
+
+        def both(matrix):
+            want = [list(row) for row in matrix]
+            spaces._close_triangle(want, STAR_MIN)
+            level(matrix)
+            assert matrix == want
+            closed.append(len(matrix))
+
+        monkeypatch.setattr(spaces, "_close_levels", both)
+        for n in (2, 3, 4, 6, 8, 10, 12, 14, 16):
+            for seed in range(40):
+                gen_space(seed, n, "repair")
+        assert len(closed) == 360
+
+    def test_no_star_call(self, monkeypatch):
+        calls = counted_star_calls(monkeypatch)
+        sp = gen_space(3, 10, "repair")
+        assert sp._validated and calls == []
+
+    def test_floyd_warshall_matches_the_full_relaxation(self):
+        # the symmetric pass against the textbook loop over every (i, j)
+        rng = random.Random("floyd-warshall")
+        for n in range(1, 12):
+            for _ in range(20):
+                d = [[0.0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        w = rng.choice([math.inf, rng.uniform(0.1, 3.0), rng.randint(1, 24) / 8])
+                        d[i][j] = d[j][i] = w
+                want = [list(row) for row in d]
+                for k in range(n):
+                    for i in range(n):
+                        for j in range(n):
+                            want[i][j] = min(want[i][j], want[i][k] + want[k][j])
+                spaces._floyd_warshall(d)
+                assert d == want
+
+
 class TestClosureCertificate:
     """A repair draw that passes spaces._exact_closure is certified by the
     closure theorem and not scanned; the scan stays as the oracle, and every
@@ -348,8 +459,10 @@ class TestClosureCertificate:
         assert certified == 40 * (9 if star is STAR_PROD else 11)
 
     def test_certified_draw_pays_for_the_closure_only(self, monkeypatch):
+        # under min the closure runs on quantiles and makes no star call
+        # (TestLevelClosure); product keeps the star pass
         calls = counted_star_calls(monkeypatch)
-        gen_space(3, 10, "repair")
+        gen_space(3, 10, "repair", STAR_PROD)
         assert len(calls) == 10 * 9 * 8 // 2
 
     @pytest.mark.parametrize(

@@ -30,9 +30,8 @@ from pmspace import (
     pointwise_sup,
     random_triples,
     sup_convolution,
-    tnorm_eval,
 )
-from pmspace.errors import ArgOutOfRange, EmptyFamily, PreconditionViolated, ValidationError
+from pmspace.errors import EmptyFamily, PreconditionViolated, ValidationError
 from pmspace.cdf import is_canonical
 from pmspace.tnorms import tnorm_axiom_failures
 
@@ -45,19 +44,15 @@ ALL_STARS = [STAR_MIN, STAR_PROD, STAR_LUKA]
 
 class TestTNormEval:
     def test_product(self):
-        assert tnorm_eval(PRODUCT, 0.5, 0.5) == 0.25
+        assert PRODUCT.fn(0.5, 0.5) == 0.25
 
     @pytest.mark.parametrize("T", ALL_TNORMS)
     @given(st.floats(0, 1))
     def test_unit_boundary(self, T, x):
-        assert tnorm_eval(T, x, 1.0) == pytest.approx(x, abs=1e-12)
+        assert T.fn(x, 1.0) == pytest.approx(x, abs=1e-12)
 
     def test_lukasiewicz_clips(self):
-        assert tnorm_eval(LUKASIEWICZ, 0.3, 0.4) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ArgOutOfRange):
-            tnorm_eval(MINIMUM, 1.5, 0.5)
+        assert LUKASIEWICZ.fn(0.3, 0.4) == 0.0
 
     @pytest.mark.parametrize("T", ALL_TNORMS)
     def test_builtin_grid_axioms(self, T):
@@ -69,7 +64,7 @@ class TestTNormEval:
 
     def test_custom_accepted(self):
         T = custom_tnorm("drastic-free-min", min)
-        assert tnorm_eval(T, 0.25, 0.75) == 0.25
+        assert T.fn(0.25, 0.75) == 0.25
 
 
 class TestSupConvolution:
