@@ -194,8 +194,8 @@ def _quantile_table(m: Sequence[Sequence[StepCdf]]) -> tuple[list[float], list[l
 
 
 def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> list | None:
-    """The quantile table on which :func:`_level_failure` decides the triangle
-    scan of a prunable m exactly, or None where it would not.
+    """The quantile table on whose levels :func:`_metric_failure` decides the
+    triangle scan of a prunable m exactly, or None where it would not.
 
     For T = min, ``tau_min(F, G)(t) >= v`` exactly when
     ``t > Q_v(F) + Q_v(G)`` (Schweizer & Sklar, ch. 7), so a triple fails
@@ -205,48 +205,41 @@ def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int
     - one level, every entry a unit step H(d), as lifted classical metrics
       and maps are, under any built-in star: T(1, 1) = 1 for every t-norm,
       so ``star(H(a), H(b))`` is H(fl(a + b)), or empty when the sum
-      overflows, and ``H(s) <= H(c)`` fails exactly when s < c, first at
-      t = c.  The table holds ``Q_1``, the locations d;
+      overflows, and ``H(s) <= H(c)`` fails exactly when s < c.  The table
+      holds ``Q_1``, the locations d;
     - several levels under STAR_MIN, when :func:`_exact_on_grid` holds on
       the entries for sums of 2 breakpoints: the star, ``_envelope`` and
-      ``leq`` then compute in real arithmetic.  Only the square scan
-      (k0 = 0) takes it: for a map column the table costs more than the
-      n(n-1) star calls it saves.
+      ``leq`` then compute in real arithmetic.  The grid is read on the
+      upper triangle, as in :func:`_exact_closure`: a prunable square is
+      exactly symmetric with an H0 diagonal, which adds nothing under min.
+      Only the square scan (k0 = 0) takes it: for a map column the table
+      costs more than the n(n-1) star calls it saves.
     """
     if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in m for F in row):
         return [[[F.breaks[0][0] for F in row] for row in m]]
     if star is not STAR_MIN or k0 != 0:
         return None
-    grid = _exact_grid(F for row in m for F in row)
+    grid = _exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
     if grid is None or not _exact_on_grid(grid, 2, 2, MINIMUM):
         return None
     return _quantile_table(m)[1]
 
 
-def _level_failure(q: list[list[list[float]]], k0: int) -> tuple[int, int, int] | None:
+def _metric_failure(d: Sequence[Sequence[float]], k0: int) -> tuple[int, int, int] | None:
     """The first ``(i, j, k)`` in :func:`_triangle_failure`'s pruned order
-    with ``q[l][i][j] + q[l][j][k] < q[l][i][k]`` at some level l, or None.
-    A single level is scanned without the loop over levels."""
-    d = q[0]
-    n, one = len(d), len(q) == 1
+    with ``d[i][j] + d[j][k] < d[i][k]``, or None: the classical triangle
+    check of one float matrix, +inf for no edge."""
+    n = len(d)
     for i in range(n):
         d_i = d[i]
         ks = range(max(k0, i + 1), len(d_i))
         for j in range(n):
             if j == i:
                 continue
-            if one:
-                d_ij, d_j = d_i[j], d[j]
-                for k in ks:
-                    if k != j and d_ij + d_j[k] < d_i[k]:
-                        return i, j, k
-                continue
-            rows = [(q_l[i][j], q_l[j], q_l[i]) for q_l in q]
+            d_ij, d_j = d_i[j], d[j]
             for k in ks:
-                if k != j:
-                    for q_ij, q_j, q_i in rows:
-                        if q_ij + q_j[k] < q_i[k]:
-                            return i, j, k
+                if k != j and d_ij + d_j[k] < d_i[k]:
+                    return i, j, k
     return None
 
 
@@ -266,20 +259,19 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
     for bit the same check, so the first failure of the full scan is kept.
 
     Where :func:`_level_table` holds, the pruned triples are decided on
-    quantiles with float sums (:func:`_level_failure`).  The witness t of
-    the first failing triple is the location c of ``m[i][k] = H(c)`` when
-    every value is 1, and otherwise comes from one star call.
+    quantiles with float sums: :func:`_metric_failure` on each level, and
+    the first failing triple is the lexicographically smallest over levels,
+    since the scan order is lexicographic.  Its witness t comes from one
+    star call, so a valid matrix makes none.
     """
     n = len(m)
     prune = _prunable(m, star, k0)
     q = _level_table(m, star, k0) if prune else None
     if q is not None:
-        failure = _level_failure(q, k0)
+        failure = min(filter(None, (_metric_failure(d, k0) for d in q)), default=None)
         if failure is None:
             return None
         i, j, k = failure
-        if len(q) == 1 and q[0][i][k] < INF:  # unit steps: H(s) <= H(c) fails first at c
-            return i, j, k, q[0][i][k]
         return i, j, k, leq_witness(star(m[i][j], m[j][k]), m[i][k])
     for i in range(n):
         row_i = m[i]

@@ -218,13 +218,14 @@ class TestCertificationWork:
     """Star calls made by the certificate, counted as in TestPrunedTriangleScan."""
 
     @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
-    def test_no_star_call_on_a_classical_lift(self, monkeypatch, star):
+    def test_classical_lift_calls_the_star_only_for_a_witness(self, monkeypatch, star):
         sp = gen_space(3, 10, "metric", star)
         L = {x: sp.dist("p0", x).breaks[0][0] for x in sp.points}  # slope 1
         calls = counted_star_calls(monkeypatch)
         assert is_one_lipschitz(sp, classical_lipschitz_embed(sp, L))
-        assert not is_one_lipschitz(sp, classical_lipschitz_embed(sp, {x: 2 * L[x] for x in L}))
         assert calls == []
+        assert not is_one_lipschitz(sp, classical_lipschitz_embed(sp, {x: 2 * L[x] for x in L}))
+        assert len(calls) == 1
 
     def test_certified_map_on_a_repair_space(self, monkeypatch):
         # the pair (x, x) cannot fail: n(n-1) calls, not n^2

@@ -321,6 +321,54 @@ class TestLevelScan:
         assert validation_outcome(sp.points, m, STAR_MIN)[0] is TriangleViolation
         assert len(calls) == 1  # the witness of the first failing triple
 
+    def test_first_failure_is_the_smallest_over_levels(self, monkeypatch):
+        # level 1/2 first fails at (b, a, c), level 1 at (a, b, c): the scan
+        # reports the lexicographic minimum, not the first failing level's
+        D01 = StepCdf(((0.125, 0.5), (0.25, 1.0)))
+        D02 = StepCdf(((0.125, 0.5), (1.0, 1.0)))
+        D12 = StepCdf(((0.5, 1.0),))
+        labels = ("a", "b", "c")
+        m = [[H0, D01, D02], [D01, H0, D12], [D02, D12, H0]]
+        q = spaces._level_table(m, STAR_MIN, 0)
+        assert [spaces._metric_failure(d, 0) for d in q] == [(1, 0, 2), (0, 1, 2)]
+        want = full_triangle_scan(labels, m, STAR_MIN)
+        assert want is not None and want[2] == ("a", "b", "c", 1.0)
+        calls = counted_star_calls(monkeypatch)
+        assert validation_outcome(labels, m, STAR_MIN) == want
+        assert len(calls) == 1  # the level path ran
+
+    @pytest.mark.parametrize("square", [True, False], ids=["square", "map-column"])
+    def test_metric_failure_matches_the_textbook_loop(self, square):
+        # the first failing triple in pruned order, on float, eighth and
+        # +inf weights, closed (and so valid) or not
+        rng = random.Random(f"metric-failure:{square}")
+        failed = 0
+        for n in range(1, 10):
+            for _ in range(30):
+                d = [[0.0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        d[i][j] = d[j][i] = rng.choice([math.inf, rng.uniform(0.1, 3.0), rng.randint(1, 24) / 8])
+                if rng.random() < 0.3:
+                    spaces._floyd_warshall(d)
+                k0 = 0 if square else n
+                if not square:
+                    for row in d:
+                        row.append(rng.choice([math.inf, rng.uniform(0.1, 6.0), rng.randint(1, 48) / 8]))
+                want = next(
+                    (
+                        (i, j, k)
+                        for i in range(n)
+                        for j in range(n)
+                        for k in range(k0, len(d[i]))
+                        if k > i and j not in (i, k) and d[i][j] + d[j][k] < d[i][k]
+                    ),
+                    None,
+                )
+                assert spaces._metric_failure(d, k0) == want
+                failed += want is not None
+        assert 50 < failed < 9 * 30  # both verdicts occur
+
     @pytest.mark.parametrize(
         "F",
         [
