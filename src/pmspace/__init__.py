@@ -45,7 +45,6 @@ from .lipschitz import (
     equicontinuity_bound,
     is_one_lipschitz,
     random_lipschitz_map,
-    rescale_distance,
     upper_envelope_extension,
 )
 from .spaces import (

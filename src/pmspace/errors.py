@@ -50,10 +50,6 @@ class ProbeOutOfRange(ValidationError):
     pass
 
 
-class NegativeScale(ValidationError):
-    pass
-
-
 class PreconditionViolated(ValidationError):
     pass
 

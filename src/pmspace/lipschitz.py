@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cdf import (
-    INF,
     StepCdf,
-    _envelope,
     heaviside,
     leq,
     pointwise_sup,
@@ -25,7 +23,6 @@ from .cdf import (
 )
 from .errors import (
     EmptySubset,
-    NegativeScale,
     PreconditionViolated,
     ValidationError,
 )
@@ -131,23 +128,6 @@ def delta_embed(space: ProbMetricSpace, x) -> LipschitzMap:
     triangle inequality is exactly the required estimate."""
     i = space.index(x)
     return LipschitzMap(space, {y: space.matrix[space.index(y)][i] for y in space.points})
-
-
-def rescale_distance(F: StepCdf, k: float) -> StepCdf:
-    """Time rescaling t -> t/k of a distribution, i.e. breakpoints scaled by
-    k.  The degenerate k = 0 is the limit k -> 0: every jump moves onto 0, so
-    the result jumps at 0 to F's final value, and the empty function stays
-    empty.
-
-    The result is canonical as ``sup_convolution``'s is: scaled
-    breakpoints within TOL of each other are one jump, and a jump whose
-    scaled breakpoint overflows to +inf is never reached.
-    """
-    if not (0 <= k < INF):  # also rejects NaN
-        raise NegativeScale(f"scale must be finite and nonnegative, got {k}")
-    if k == 0:
-        return StepCdf(((0.0, F.breaks[-1][1]),)) if F.breaks else F
-    return _envelope((k * t, v) for t, v in F.breaks if k * t < INF)
 
 
 def equicontinuity_bound(

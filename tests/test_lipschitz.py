@@ -1,4 +1,4 @@
-"""Certification, envelope extension, embeddings, rescaling, and the
+"""Certification, envelope extension, embeddings, rescaled spaces, and the
 equicontinuity machinery."""
 
 import dataclasses
@@ -36,16 +36,13 @@ from pmspace import (
     pointwise_sup,
     random_lipschitz_map,
     random_step_cdf,
-    rescale_distance,
     sup_convolution,
     uniform_distance,
     upper_envelope_extension,
 )
-from pmspace.cdf import is_canonical
 from pmspace.errors import (
     DomainMismatch,
     EmptySubset,
-    NegativeScale,
     PreconditionViolated,
     TriangleViolation,
     UnknownPoint,
@@ -438,49 +435,10 @@ class TestDeltaEmbed:
 
 
 class TestRescale:
-    def test_identity(self):
-        F = make_step_cdf([(1, 0.5), (2, 1)])
-        assert rescale_distance(F, 1.0) == F
-
-    def test_zero_collapses(self):
-        assert rescale_distance(heaviside(3), 0.0) == H0
-
-    def test_zero_keeps_a_defective_final_value(self):
-        # every k > 0 keeps F's final value 0.5, so the limit k -> 0 does too
-        F = make_step_cdf([(1, 0.25), (2, 0.5)])
-        assert rescale_distance(F, 1e-300) == StepCdf(((1e-300, 0.5),))
-        assert rescale_distance(F, 0.0) == StepCdf(((0.0, 0.5),))
-
-    def test_zero_keeps_hinf(self):
-        assert rescale_distance(HINF, 0.0) == HINF
-
-    def test_doubling(self):
-        assert rescale_distance(heaviside(1), 2.0) == heaviside(2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeScale):
-            rescale_distance(H0, -1.0)
-
-    @pytest.mark.parametrize("k", [math.nan, math.inf])
-    def test_non_finite_rejected(self, k):
-        with pytest.raises(NegativeScale):
-            rescale_distance(H0, k)
-
-    def test_overflowing_jump_is_never_reached(self):
-        F = make_step_cdf([(1, 0.5), (2, 1)])
-        G = rescale_distance(F, 1e308)
-        assert G == StepCdf(((1e308, 0.5),)) and is_canonical(G)
-
-    def test_jumps_within_tol_merge(self):
-        F = make_step_cdf([(1, 0.5), (2, 1)])
-        G = rescale_distance(F, 1e-13)
-        assert G == StepCdf(((1e-13, 1.0),)) and is_canonical(G)
-
     def test_rescaled_space_certifies_steeper_maps(self):
         # doubling all distances turns a slope-2 assignment into a certified map
         sp = heaviside_space(PATH3)
         doubled = heaviside_space([[2 * v for v in row] for row in PATH3])
-        assert doubled.dist("p0", "p1") == rescale_distance(sp.dist("p0", "p1"), 2.0)
         steep = {"p0": 0.0, "p1": 2.0, "p2": 4.0}
         assert not is_one_lipschitz(sp, classical_lipschitz_embed(sp, steep))
         assert is_one_lipschitz(doubled, classical_lipschitz_embed(doubled, steep))
