@@ -161,17 +161,18 @@ def _exact_closure(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) 
 
 def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> bool:
     """True when :func:`_triangle_failure` may skip triples: a built-in star,
-    an exact H0 diagonal, and canonical entries, exactly symmetric for k < n,
-    in the scanned columns ``k >= max(k0, i + 1)``."""
+    an exact H0 diagonal, an exactly symmetric square, and canonical entries
+    in the scanned columns ``k >= max(k0, i + 1)``: the level guard reads
+    the upper triangle, and a map column's scan reads both halves."""
     if not _is_builtin(star):
         return False
     n = len(m)
     for i in range(n):
         if m[i][i] != H0:
             return False
-        for k in range(max(k0, i + 1), len(m[i])):
+        for k in range(i + 1, len(m[i])):
             F = m[i][k]
-            if (k < n and F != m[k][i]) or not is_canonical(F):
+            if (k < n and F != m[k][i]) or (k >= k0 and not is_canonical(F)):
                 return False
     return True
 
@@ -193,7 +194,7 @@ def _quantile_table(m: Sequence[Sequence[StepCdf]]) -> tuple[list[float], list[l
     return levels, q
 
 
-def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> list | None:
+def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> list | None:
     """The quantile table on whose levels :func:`_metric_failure` decides the
     triangle scan of a prunable m exactly, or None where it would not.
 
@@ -210,14 +211,13 @@ def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int
     - several levels under STAR_MIN, when :func:`_exact_on_grid` holds on
       the entries for sums of 2 breakpoints: the star, ``_envelope`` and
       ``leq`` then compute in real arithmetic.  The grid is read on the
-      upper triangle, as in :func:`_exact_closure`: a prunable square is
-      exactly symmetric with an H0 diagonal, which adds nothing under min.
-      Only the square scan (k0 = 0) takes it: for a map column the table
-      costs more than the n(n-1) star calls it saves.
+      upper triangle and the appended columns, as in :func:`_exact_closure`:
+      a prunable square is exactly symmetric with an H0 diagonal, which adds
+      nothing under min.  A space's scan and a map column's take it alike.
     """
     if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in m for F in row):
         return [[[F.breaks[0][0] for F in row] for row in m]]
-    if star is not STAR_MIN or k0 != 0:
+    if star is not STAR_MIN:
         return None
     grid = _exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
     if grid is None or not _exact_on_grid(grid, 2, 2, MINIMUM):
@@ -258,15 +258,16 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
     bounds everything, and for k < i in the square ``(k, j, i)`` computes bit
     for bit the same check, so the first failure of the full scan is kept.
 
-    Where :func:`_level_table` holds, the pruned triples are decided on
-    quantiles with float sums: :func:`_metric_failure` on each level, and
-    the first failing triple is the lexicographically smallest over levels,
-    since the scan order is lexicographic.  Its witness t comes from one
-    star call, so a valid matrix makes none.
+    Where :func:`_level_table` holds, for a space and a map alike, the
+    pruned triples are decided on quantiles with float sums:
+    :func:`_metric_failure` on each level, and the first failing triple is
+    the lexicographically smallest over levels, since the scan order is
+    lexicographic.  Its witness t comes from one star call, so a valid
+    matrix makes none.
     """
     n = len(m)
     prune = _prunable(m, star, k0)
-    q = _level_table(m, star, k0) if prune else None
+    q = _level_table(m, star) if prune else None
     if q is not None:
         failure = min(filter(None, (_metric_failure(d, k0) for d in q)), default=None)
         if failure is None:

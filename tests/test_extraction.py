@@ -6,12 +6,10 @@ import random
 import pytest
 
 from pmspace import (
-    STAR_MIN,
     LipschitzMap,
     converse_compactness_witness,
     delta_embed,
     extract_uniform_subsequence,
-    from_classical_metric,
     gen_space,
     heaviside,
     is_one_lipschitz,
@@ -27,10 +25,7 @@ from pmspace import (
 from pmspace.errors import DomainMismatch, IndexOutOfRange, InsufficientSequence
 from pmspace.tnorms import MINIMUM
 
-
-def heaviside_space(d, star=STAR_MIN):
-    labels = tuple(f"p{i}" for i in range(len(d)))
-    return from_classical_metric(labels, d, star)
+from test_spaces import heaviside_space
 
 
 class TestSelectCauchySubsequence:

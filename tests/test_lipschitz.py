@@ -53,12 +53,7 @@ from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
 from oracles import BudgetExhausted, ModulusEstimate, estimate_modulus, pairwise_lipschitz_scan
 from strategies import cdfs, dyadic_cdfs, float_cdfs, window_cdfs
-from test_spaces import counted_star_calls
-
-
-def heaviside_space(d, star=STAR_MIN):
-    labels = tuple(f"p{i}" for i in range(len(d)))
-    return from_classical_metric(labels, d, star)
+from test_spaces import counted_star_calls, heaviside_space, lower
 
 
 PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
@@ -194,6 +189,13 @@ _R4 = gen_space(2, 4, "repair")
 DIAGONAL_ONLY = (_R4, dict(delta_embed(_R4, "p0").values) | {"p0": NON_CANONICAL})
 
 
+# D(x, y) and D(y, x) are symmetric only within TOL, so validation takes the
+# full scan; the map scan reads both halves, so it may not prune either
+_D = StepCdf(((0.125, 0.5), (2.0, 1.0)))
+_TOL_SYMMETRIC = make_space(("x", "y"), [[H0, _D], [StepCdf(((0.125, 0.5 + 1e-13), (2.0, 1.0))), H0]], STAR_MIN)
+NEAR_SYMMETRIC = (_TOL_SYMMETRIC, {"x": StepCdf(((0.125, 1.0),)), "y": StepCdf(((0.25, 0.5), (1.0, 1.0)))})
+
+
 class TestScanAgreesWithPairwiseOracle:
     """The certificate is the triangle scan with the map as an added column;
     its verdict and witness, t included, must stay those of the pairwise
@@ -202,13 +204,36 @@ class TestScanAgreesWithPairwiseOracle:
     @settings(max_examples=300)
     @given(case=spaces_and_maps())
     @example(case=DIAGONAL_ONLY)
+    @example(case=NEAR_SYMMETRIC)
     def test_same_outcome(self, case):
         sp, f = case
         got, want = is_one_lipschitz(sp, f), pairwise_lipschitz_scan(sp, f)
         assert (got.ok, got.witness) == (want.ok, want.witness)
 
+    def test_lowered_envelopes_on_min_repair_spaces(self, monkeypatch):
+        # a min space on an exact grid decides the map column on its levels:
+        # no star call for a valid map, one for a failure's witness
+        rng = random.Random("level-certificate")
+        checked = failed = 0
+        for n in range(3, 13):
+            for seed in range(10):
+                sp = gen_space(seed, n, "repair")
+                for _ in range(8):
+                    f = dict(random_lipschitz_map(sp, rng).values)
+                    x = rng.choice(sp.points)
+                    f[x] = lower(rng, f[x])
+                    want = pairwise_lipschitz_scan(sp, f)
+                    with monkeypatch.context() as patch:
+                        calls = counted_star_calls(patch)
+                        got = is_one_lipschitz(sp, f)
+                    assert (got.ok, got.witness) == (want.ok, want.witness)
+                    assert len(calls) == (not want.ok)  # the level path ran
+                    checked += 1
+                    failed += not want.ok
+        assert checked == 800 and failed >= 400 and checked - failed >= 100  # both verdicts occur
 
-_MC = gen_space(0, 8, "repair")
+
+_MC_PROD = gen_space(0, 8, "repair", STAR_PROD)
 
 
 class TestCertificationWork:
@@ -225,8 +250,9 @@ class TestCertificationWork:
         assert len(calls) == 1
 
     def test_certified_map_on_a_repair_space(self, monkeypatch):
-        # the pair (x, x) cannot fail: n(n-1) calls, not n^2
-        sp = gen_space(3, 10, "repair")
+        # the pair (x, x) cannot fail: n(n-1) calls, not n^2 (under product;
+        # min decides grid maps on levels: TestScanAgreesWithPairwiseOracle)
+        sp = gen_space(3, 10, "repair", STAR_PROD)
         f = random_lipschitz_map(sp, random.Random(3))
         calls = counted_star_calls(monkeypatch)
         assert is_one_lipschitz(sp, f)
@@ -242,8 +268,9 @@ class TestCertificationWork:
         assert len(calls) == 7176
 
     @pytest.mark.parametrize("space, scan_calls", [
-        # an unvalidated copy: the pruned scan, n(n-1) = 56 calls per draw
-        (ProbMetricSpace(_MC.points, _MC.matrix, _MC.star), 200 * 56),
+        # an unvalidated copy under product: the pruned scan, n(n-1) = 56
+        # calls per draw (under min the levels decide it with none)
+        (ProbMetricSpace(_MC_PROD.points, _MC_PROD.matrix, _MC_PROD.star), 200 * 56),
         # a star that is not a shared built-in: the full scan, n^2 = 64
         (gen_space(0, 8, "repair", CUSTOM_MIN), 200 * 64),
     ], ids=["hand-built", "custom-star"])

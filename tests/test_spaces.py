@@ -270,13 +270,10 @@ class TestUnitStepScan:
         assert added == []
 
 
-def lowered(rng, m):
-    """A copy of m with one symmetric pair lowered on the grid: its last jump
-    dropped, or one jump moved right by 1/8 (dropped where it would reach the
-    next)."""
-    m = [list(row) for row in m]
-    i, k = rng.sample(range(len(m)), 2)
-    breaks = list(m[i][k].breaks)
+def lower(rng, F):
+    """F lowered on the grid: its last jump dropped, or one jump moved right
+    by 1/8 (dropped where it would reach the next)."""
+    breaks = list(F.breaks)
     if breaks and rng.random() < 0.5:
         b = rng.randrange(len(breaks))
         t, v = breaks[b]
@@ -286,7 +283,14 @@ def lowered(rng, m):
             breaks[b] = (t + 0.125, v)
     elif breaks:
         breaks.pop()
-    m[i][k] = m[k][i] = StepCdf(tuple(breaks))
+    return StepCdf(tuple(breaks))
+
+
+def lowered(rng, m):
+    """A copy of m with one symmetric pair lowered by :func:`lower`."""
+    m = [list(row) for row in m]
+    i, k = rng.sample(range(len(m)), 2)
+    m[i][k] = m[k][i] = lower(rng, m[i][k])
     return m
 
 
@@ -329,7 +333,7 @@ class TestLevelScan:
         D12 = StepCdf(((0.5, 1.0),))
         labels = ("a", "b", "c")
         m = [[H0, D01, D02], [D01, H0, D12], [D02, D12, H0]]
-        q = spaces._level_table(m, STAR_MIN, 0)
+        q = spaces._level_table(m, STAR_MIN)
         assert [spaces._metric_failure(d, 0) for d in q] == [(1, 0, 2), (0, 1, 2)]
         want = full_triangle_scan(labels, m, STAR_MIN)
         assert want is not None and want[2] == ("a", "b", "c", 1.0)
