@@ -258,12 +258,11 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
     bounds everything, and for k < i in the square ``(k, j, i)`` computes bit
     for bit the same check, so the first failure of the full scan is kept.
 
-    Where :func:`_level_table` holds, for a space and a map alike, the
-    pruned triples are decided on quantiles with float sums:
-    :func:`_metric_failure` on each level, and the first failing triple is
-    the lexicographically smallest over levels, since the scan order is
-    lexicographic.  Its witness t comes from one star call, so a valid
-    matrix makes none.
+    Where :func:`_level_table` holds, for spaces and maps alike, the pruned
+    triples are decided on quantiles with float sums: :func:`_metric_failure`
+    on each level, and the first failing triple is the lexicographically
+    smallest over levels, since the scan order is lexicographic.  Its
+    witness t comes from one star call, so a valid matrix makes none.
     """
     n = len(m)
     prune = _prunable(m, star, k0)

@@ -189,11 +189,13 @@ _R4 = gen_space(2, 4, "repair")
 DIAGONAL_ONLY = (_R4, dict(delta_embed(_R4, "p0").values) | {"p0": NON_CANONICAL})
 
 
-# D(x, y) and D(y, x) are symmetric only within TOL, so validation takes the
-# full scan; the map scan reads both halves, so it may not prune either
-_D = StepCdf(((0.125, 0.5), (2.0, 1.0)))
-_TOL_SYMMETRIC = make_space(("x", "y"), [[H0, _D], [StepCdf(((0.125, 0.5 + 1e-13), (2.0, 1.0))), H0]], STAR_MIN)
-NEAR_SYMMETRIC = (_TOL_SYMMETRIC, {"x": StepCdf(((0.125, 1.0),)), "y": StepCdf(((0.25, 0.5), (1.0, 1.0)))})
+# D(x, y) and D(y, x) agree only within TOL: the map scan reads both, so it
+# may not take the levels, whose guard reads the upper triangle alone
+_XY, _YX = StepCdf(((0.125, 0.5), (2.0, 1.0))), StepCdf(((0.125, 0.5 + 1e-13), (2.0, 1.0)))
+NEAR_SYMMETRIC = (
+    make_space(("x", "y"), [[H0, _XY], [_YX, H0]], STAR_MIN),
+    {"x": StepCdf(((0.125, 1.0),)), "y": StepCdf(((0.25, 0.5), (1.0, 1.0)))},
+)
 
 
 class TestScanAgreesWithPairwiseOracle:
