@@ -23,7 +23,8 @@ functions read 1 there and the decision skips that probe.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Iterable, Sequence
 
 from .cdf import H0, INF, StepCdf, approx_equal
 from .errors import DomainMismatch, PreconditionViolated, ProbeOutOfRange, ValidationError

@@ -11,8 +11,9 @@ extension device used by the compactness machinery.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cdf import (
     StepCdf,

@@ -41,7 +41,7 @@ from .errors import (
     UnknownPoint,
 )
 from .levy import _tail, levy_to_h0
-from .tnorms import MINIMUM, PRODUCT, STAR_LUKA, STAR_MIN, STAR_PROD, TNorm, TriangleFunction
+from .tnorms import PRODUCT, STAR_LUKA, STAR_MIN, STAR_PROD, TNorm, TriangleFunction
 
 
 @dataclass(frozen=True)
@@ -117,24 +117,33 @@ def _exact_grid(cdfs: Iterable[StepCdf]) -> tuple[int, float, int, int] | None:
 
 
 def _exact_on_grid(grid: tuple[int, float, int, int], sums: int, products: int, tnorm: TNorm) -> bool:
-    """The lemma of both theorem certificates and of the level scan: on
-    data with :func:`_exact_grid` ``(2**e, top, q, b)``, a built-in star,
+    """The lemma of both theorem certificates: on data with
+    :func:`_exact_grid` ``(2**e, top, q, b)``, a built-in star,
     ``_envelope`` and ``leq`` compute in real arithmetic, for sums of
     ``sums`` breakpoints and products of ``products`` values.
 
-    A sum of k breakpoints is a multiple of 2^-e of at most ``k * top``:
-    exact when ``k * top * 2**e < 2^53``, and distinct sums lie 2^-e > TOL
-    apart, so no events chain in ``_envelope``.  Under min and Lukasiewicz values
+    Sums are :func:`_exact_sums`.  Under min and Lukasiewicz values
     stay on the 2^-q grid, so no increment of TOL or less is dropped and
     ``leq`` decides the real order.  Under product a product of k values
     has at most ``k*b`` bits and lies on the 2^-(kq) grid: exact when
     ``k*b <= 53``, and coarser than TOL when ``k*q <= 39``.  Both guards ask
     that of pairs, and exactness of triples, at least.
     """
-    den, top, q, b = grid
-    if sums * top * den >= 2.0**53:
+    if not _exact_sums(grid, sums):
         return False
+    q, b = grid[2:]
     return tnorm is not PRODUCT or (max(products, 2) * q <= _GRID_BITS and max(products, 3) * b <= 53)
+
+
+def _exact_sums(grid: tuple[int, float, int, int], k: int) -> bool:
+    """The sums half of :func:`_exact_on_grid`, and alone the guard of the
+    level scan and of :func:`_events_below`: on data with
+    :func:`_exact_grid` ``(2**e, top, q, b)`` a sum of k breakpoints is a
+    multiple of 2^-e of at most ``k * top``, exact when
+    ``k * top * 2**e < 2^53``, and distinct sums lie 2^-e > TOL apart, so no
+    events chain in ``_envelope``."""
+    den, top = grid[:2]
+    return k * top * den < 2.0**53
 
 
 def _exact_envelope(space: ProbMetricSpace, values: Sequence[StepCdf]) -> bool:
@@ -208,21 +217,64 @@ def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> list
       so ``star(H(a), H(b))`` is H(fl(a + b)), or empty when the sum
       overflows, and ``H(s) <= H(c)`` fails exactly when s < c.  The table
       holds ``Q_1``, the locations d;
-    - several levels under STAR_MIN, when :func:`_exact_on_grid` holds on
-      the entries for sums of 2 breakpoints: the star, ``_envelope`` and
-      ``leq`` then compute in real arithmetic.  The grid is read on the
-      upper triangle and the appended columns, as in :func:`_exact_closure`:
-      a prunable square is exactly symmetric with an H0 diagonal, which adds
-      nothing under min.  A space's scan and a map column's take it alike.
+    - several levels under STAR_MIN, when :func:`_exact_scan` holds: the
+      star, ``_envelope`` and ``leq`` then compute in real arithmetic, as
+      values stay on their grid under min.  A space's scan and a map
+      column's take it alike.
     """
     if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in m for F in row):
         return [[[F.breaks[0][0] for F in row] for row in m]]
-    if star is not STAR_MIN:
-        return None
-    grid = _exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
-    if grid is None or not _exact_on_grid(grid, 2, 2, MINIMUM):
+    if star is not STAR_MIN or not _exact_scan(m):
         return None
     return _quantile_table(m)[1]
+
+
+def _exact_scan(m: Sequence[Sequence[StepCdf]]) -> bool:
+    """The guard of the level path under min and of :func:`_events_below`
+    under product and Lukasiewicz: :func:`_exact_sums` for pairs, read on
+    the upper triangle and the appended columns, as in
+    :func:`_exact_closure`.  A prunable square is exactly symmetric with an
+    H0 diagonal, so these hold every breakpoint that a pruned triple adds."""
+    grid = _exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
+    return grid is not None and _exact_sums(grid, 2)
+
+
+def _events_below(F: StepCdf, G: StepCdf, H: StepCdf, fn) -> bool:
+    """True only when every jump pair (a, v) of F and (b, w) of G has
+    ``fn(v, w) <= value_after(H, a + b) + TOL``: one forward walk into H per
+    row of the pairs, with no sort and no :func:`_envelope`.
+
+    The star is the running maximum of these events (Schweizer & Sklar,
+    ch. 7), so where its sums are exact and distinct ones lie more than TOL
+    apart (:func:`_exact_sums` for pairs) True proves
+    ``leq(star(F, G), H)``: ``_envelope`` then groups only equal sums and
+    emits each group's running maximum or less, since it defers increments
+    of TOL or less, so ``star(F, G)(t) <= max{fn(v, w) : a + b < t} <=
+    H(t) + TOL`` and ``leq_witness`` finds nothing.  No condition on the
+    values is needed.  False proves nothing: the caller decides by the star.
+
+    The row bound: the built-in t-norms lie below min (Klement, Mesiar &
+    Pap), and in floats ``fn(v, w) <= min(v, w) + 2**-53``.  Min is exact;
+    ``fl(v*w) <= min(v, w)``; and ``fl(fl(v + w) - 1) <= min(v, w) + 2**-53``,
+    as the subtraction is exact by Sterbenz (``_lukasiewicz(0.1, 1.0)`` is
+    0.10000000000000009).  So a pair with ``w <= value_after(H, a + b)``
+    needs no ``fn`` call, and a row ends once that value reaches v, since it
+    only grows along the row.
+    """
+    h = H.breaks
+    last = len(h)
+    for a, v in F.breaks:
+        i, hv = 0, 0.0
+        for b, w in G.breaks:
+            s = a + b
+            while i < last and h[i][0] <= s:
+                hv = h[i][1]
+                i += 1
+            if hv >= v:
+                break
+            if w > hv and fn(v, w) > hv + TOL:
+                return False
+    return True
 
 
 def _metric_failure(d: Sequence[Sequence[float]], k0: int) -> tuple[int, int, int] | None:
@@ -263,6 +315,14 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
     on each level, and the first failing triple is the lexicographically
     smallest over levels, since the scan order is lexicographic.  Its
     witness t comes from one star call, so a valid matrix makes none.
+
+    Elsewhere, under product and Lukasiewicz where :func:`_exact_scan`
+    holds, :func:`_events_below` runs before each pruned star call and a
+    triple it passes cannot fail, so the scan goes on without the call.  A
+    triple it does not pass is decided by the star call as before, so the
+    verdict, the first failing triple and its witness are unchanged.  On a
+    grid of values coarser than TOL (:func:`_exact_on_grid` for pairs) it
+    passes every triple that holds, and a valid matrix makes no call.
     """
     n = len(m)
     prune = _prunable(m, star, k0)
@@ -273,6 +333,8 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
             return None
         i, j, k = failure
         return i, j, k, leq_witness(star(m[i][j], m[j][k]), m[i][k])
+    # under min the level path has read the guard already
+    fn = star.tnorm.fn if prune and star is not STAR_MIN and _exact_scan(m) else None
     for i in range(n):
         row_i = m[i]
         ks = range(max(k0, i + 1) if prune else k0, len(row_i))
@@ -283,7 +345,10 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
             for k in ks:
                 if prune and k == j:
                     continue
-                t = leq_witness(star(d_ij, row_j[k]), row_i[k])
+                d_jk, d_ik = row_j[k], row_i[k]
+                if fn is not None and _events_below(d_ij, d_jk, d_ik, fn):
+                    continue
+                t = leq_witness(star(d_ij, d_jk), d_ik)
                 if t is not None:
                     return i, j, k, t
     return None
@@ -477,8 +542,24 @@ def _close_triangle(matrix: list[list[StepCdf]], star: TriangleFunction) -> None
     the closure (see the README, "Numerical conventions").  The caller
     certifies the result (see :func:`gen_space`), so an operation for which
     one pass is not enough fails there.
+
+    Under product and Lukasiewicz, on a matrix with :func:`_exact_grid`
+    ``(2**e, top, q, b)``, :func:`_events_below` runs before each star call,
+    and a pair it passes keeps its entry, as ``leq`` would hold.  Its guard
+    is :func:`_exact_sums` for pairs, followed through the pass: every
+    breakpoint the pass makes is then an exact sum, a multiple of 2^-e, and
+    top is the largest so far, so the check runs while
+    ``2 * top * 2**e < 2^53``.  That needs no bound on the breakpoints
+    ahead, as the k = 2(n-1) of :func:`_exact_closure` does: that bound
+    rests on exact values, which product loses past n = 10.  Under min,
+    :func:`gen_space` closes guarded draws by :func:`_close_levels`, and this
+    pass, unchecked, is their oracle.
     """
     n = len(matrix)
+    grid = None
+    if star is STAR_PROD or star is STAR_LUKA:
+        grid = _exact_grid(F for i, row in enumerate(matrix) for F in row[i + 1 :])
+    top, cap = (grid[1], 2.0**52 / grid[0]) if grid is not None else (INF, 0.0)
     for k in range(n):
         row_k = matrix[k]
         for i in range(n):
@@ -489,9 +570,13 @@ def _close_triangle(matrix: list[list[StepCdf]], star: TriangleFunction) -> None
             for j in range(i + 1, n):
                 if j == k:
                     continue
-                cand = star(d_ik, row_k[j])
+                d_kj = row_k[j]
+                if top < cap and _events_below(d_ik, d_kj, row_i[j], star.tnorm.fn):
+                    continue
+                cand = star(d_ik, d_kj)
                 if not leq(cand, row_i[j]):
                     row_i[j] = matrix[j][i] = pointwise_sup([row_i[j], cand])
+                    top = max(top, cand.breaks[-1][0])
 
 
 def _close_levels(matrix: list[list[StepCdf]]) -> None:
@@ -557,7 +642,10 @@ def gen_space(
     product and for every n under min and Lukasiewicz.  Under STAR_MIN the
     guarded pass runs level by level (:func:`_close_levels`): each of its
     sums adds two simple paths, at most 2(n-1) drawn breakpoints, so it is
-    exact too and gives the same closure.
+    exact too and gives the same closure.  Under product and Lukasiewicz the
+    pass skips the star call for each pair that :func:`_events_below`
+    passes (see :func:`_close_triangle`), which leaves the same closure, and
+    the validation of a product draw past n = 10 does so per triple.
 
     Custom stars and draws off the guard are validated: an operation for
     which the pass is not the closure raises TriangleViolation, and one that

@@ -53,7 +53,7 @@ from pmspace.tnorms import MINIMUM, TriangleFunction, star_from_tnorm
 
 from oracles import BudgetExhausted, ModulusEstimate, estimate_modulus, pairwise_lipschitz_scan
 from strategies import cdfs, dyadic_cdfs, float_cdfs, window_cdfs
-from test_spaces import counted_star_calls, heaviside_space, lower
+from test_spaces import counted_star_calls, heaviside_space, lower, shifted
 
 
 PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
@@ -235,7 +235,7 @@ class TestScanAgreesWithPairwiseOracle:
         assert checked == 800 and failed >= 400 and checked - failed >= 100  # both verdicts occur
 
 
-_MC_PROD = gen_space(0, 8, "repair", STAR_PROD)
+_MC_OFF_GRID = shifted(gen_space(0, 8, "repair", STAR_PROD))
 
 
 class TestCertificationWork:
@@ -252,9 +252,10 @@ class TestCertificationWork:
         assert len(calls) == 1
 
     def test_certified_map_on_a_repair_space(self, monkeypatch):
-        # the pair (x, x) cannot fail: n(n-1) calls, not n^2 (under product;
-        # min decides grid maps on levels: TestScanAgreesWithPairwiseOracle)
-        sp = gen_space(3, 10, "repair", STAR_PROD)
+        # the pair (x, x) cannot fail: n(n-1) calls, not n^2 (under product,
+        # off the breakpoint grid; on it the event check passes pairs and min
+        # decides grid maps on levels: TestScanAgreesWithPairwiseOracle)
+        sp = shifted(gen_space(3, 10, "repair", STAR_PROD))
         f = random_lipschitz_map(sp, random.Random(3))
         calls = counted_star_calls(monkeypatch)
         assert is_one_lipschitz(sp, f)
@@ -270,9 +271,10 @@ class TestCertificationWork:
         assert len(calls) == 7176
 
     @pytest.mark.parametrize("space, scan_calls", [
-        # an unvalidated copy under product: the pruned scan, n(n-1) = 56
-        # calls per draw (under min the levels decide it with none)
-        (ProbMetricSpace(_MC_PROD.points, _MC_PROD.matrix, _MC_PROD.star), 200 * 56),
+        # an unvalidated copy under product, off the breakpoint grid: the
+        # pruned scan, n(n-1) = 56 calls per draw (on the grid the event
+        # check passes pairs, and under min the levels decide it with none)
+        (ProbMetricSpace(_MC_OFF_GRID.points, _MC_OFF_GRID.matrix, _MC_OFF_GRID.star), 200 * 56),
         # a star that is not a shared built-in: the full scan, n^2 = 64
         (gen_space(0, 8, "repair", CUSTOM_MIN), 200 * 64),
     ], ids=["hand-built", "custom-star"])

@@ -7,6 +7,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmspace import (
     H0,
@@ -24,6 +26,7 @@ from pmspace import (
     leq,
     levy_to_h0,
     make_space,
+    make_step_cdf,
     parse_document,
     random_step_cdf,
     serialize_document,
@@ -46,6 +49,7 @@ from pmspace.spaces import validate_space_matrix
 from pmspace.tnorms import LUKASIEWICZ, MINIMUM, PRODUCT, TriangleFunction, custom_tnorm, star_from_tnorm
 
 from oracles import full_triangle_scan, sweep_relax_to_triangle
+from strategies import cdfs, dyadic_cdfs
 
 
 def heaviside_space(d, star=STAR_MIN):
@@ -134,6 +138,17 @@ def equilateral(n, F=heaviside(1.0)):
     return [[H0 if i == k else F for k in range(n)] for i in range(n)]
 
 
+def shifted(sp, delta=0.1):
+    """sp validated again with every off-diagonal breakpoint moved right by
+    delta: off the breakpoint grid, and valid with a margin of delta, since
+    a star's sums move by 2 * delta and the entry they meet by delta."""
+    m = [
+        [F if i == k else StepCdf(tuple((t + delta, v) for t, v in F.breaks)) for k, F in enumerate(row)]
+        for i, row in enumerate(sp.matrix)
+    ]
+    return make_space(sp.points, m, sp.star)
+
+
 class TestPrunedTriangleScan:
     """Built-in stars scan only i < k, j not in {i, k}; the verdict, message
     and witness must stay those of the full n^3 scan."""
@@ -157,8 +172,10 @@ class TestPrunedTriangleScan:
 
     def test_call_count_builtin(self, monkeypatch):
         # repair entries have several jumps, so under product this is the
-        # lattice scan; under min the level scan decides them (TestLevelScan)
-        sp = gen_space(3, 10, "repair", STAR_PROD)
+        # lattice scan; off the breakpoint grid no event check passes a triple
+        # (TestEventCheck), and under min the level scan decides grid data
+        # (TestLevelScan)
+        sp = shifted(gen_space(3, 10, "repair", STAR_PROD))
         assert count_star_calls(monkeypatch, sp.points, sp.matrix, STAR_PROD) == 10 * 9 * 8 // 2
 
     def test_call_count_custom_star(self, monkeypatch):
@@ -386,6 +403,91 @@ class TestLevelScan:
         assert count_star_calls(monkeypatch, labels, equilateral(10, F), STAR_MIN) == 10 * 9 * 8 // 2
 
 
+class TestEventCheck:
+    """Under product and Lukasiewicz a pruned triple on an exact breakpoint
+    grid is passed by spaces._events_below before any star call; verdict,
+    message and witness must stay those of the full lattice scan, and the
+    closure that of the pass without the check."""
+
+    STARS = pytest.mark.parametrize("star", [STAR_PROD, STAR_LUKA], ids=["prod", "luka"])
+
+    @STARS
+    def test_matches_full_scan_on_lowered_spaces(self, monkeypatch, star):
+        rng = random.Random(f"event-check:{star.name}")
+        checked = raised = exact = 0
+        for n in range(3, 13):
+            for seed in range(10):
+                sp = gen_space(seed, n, "repair", star)
+                for _ in range(4):
+                    m = lowered(rng, sp.matrix)
+                    want = full_triangle_scan(sp.points, m, star)
+                    with monkeypatch.context() as patch:
+                        calls = counted_star_calls(patch)
+                        assert validation_outcome(sp.points, m, star) == want
+                    grid = spaces._exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
+                    if spaces._exact_on_grid(grid, 2, 2, star.tnorm):
+                        # event values and entries on a grid coarser than TOL
+                        assert len(calls) == (want is not None)
+                        exact += 1
+                    checked += 1
+                    raised += want is not None
+        assert checked == 400 and raised >= 250 and checked - raised >= 50 and exact >= 350
+
+    @STARS
+    def test_star_calls(self, monkeypatch, star):
+        sp = gen_space(3, 10, "repair", star)
+        m = [list(row) for row in sp.matrix]
+        m[0][1] = m[1][0] = StepCdf(m[0][1].breaks[:-1])
+        off = shifted(sp)  # off the breakpoint grid: every pruned triple calls the star
+        calls = counted_star_calls(monkeypatch)
+        assert validation_outcome(sp.points, sp.matrix, star) is None and calls == []
+        assert validation_outcome(sp.points, m, star)[0] is TriangleViolation
+        assert len(calls) == 1  # the witness of the first failing triple
+        calls.clear()
+        assert validation_outcome(off.points, off.matrix, star) is None
+        assert len(calls) == 10 * 9 * 8 // 2
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    @given(dyadic_cdfs(6), dyadic_cdfs(6), cdfs(), st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 1 / 16]),
+           st.sampled_from([-0.125, 0.0, 0.125]))
+    def test_a_pass_is_a_pass_of_the_star(self, star, F, G, K, dv, dt):
+        # one-sided: True proves leq(star(F, G), H) on the breakpoint grid;
+        # H is star(F, G) moved and lowered, or any cdf
+        S = star(F, G)
+        near = make_step_cdf((t + dt, v - dv) for t, v in S.breaks if t + dt >= 0 and v - dv > 0)
+        for H in (near, K):
+            if spaces._events_below(F, G, H, star.tnorm.fn):
+                assert leq(S, H)
+
+    @STARS
+    def test_closure_matches_the_unchecked_pass(self, monkeypatch, star):
+        # product at n >= 11 is past the closure theorem's value guard, and
+        # gen_space validates what the checked pass returns
+        close, closed = spaces._close_triangle, []
+
+        def both(matrix, star):
+            want = [list(row) for row in matrix]
+            with monkeypatch.context() as patch:
+                patch.setattr(spaces, "_events_below", lambda F, G, H, fn: False)
+                close(want, star)
+            close(matrix, star)
+            assert matrix == want
+            closed.append(len(matrix))
+
+        monkeypatch.setattr(spaces, "_close_triangle", both)
+        for n in (3, 4, 6, 8, 10, 11, 12, 14, 16):
+            for seed in range(10):
+                gen_space(seed, n, "repair", star)
+        assert len(closed) == 90
+
+    @pytest.mark.parametrize("star, pinned", [(STAR_PROD, 150), (STAR_LUKA, 100)], ids=["prod", "luka"])
+    def test_closure_star_calls(self, monkeypatch, star, pinned):
+        # 360 without the check (TestClosureCertificate)
+        calls = counted_star_calls(monkeypatch)
+        gen_space(3, 10, "repair", star)
+        assert len(calls) == pinned
+
+
 class TestTriangleClosure:
     """The repair generator closes its matrix with one Floyd-Warshall pass;
     the result must be the fixpoint of the repeated (i < j, q) sweeps it
@@ -512,7 +614,10 @@ class TestClosureCertificate:
 
     def test_certified_draw_pays_for_the_closure_only(self, monkeypatch):
         # under min the closure runs on quantiles and makes no star call
-        # (TestLevelClosure); product keeps the star pass
+        # (TestLevelClosure); product keeps the star pass.  Every draw lies
+        # on the breakpoint grid, where the event check passes most triples
+        # (TestEventCheck), so here it passes none and the pass is counted
+        monkeypatch.setattr(spaces, "_events_below", lambda F, G, H, fn: False)
         calls = counted_star_calls(monkeypatch)
         gen_space(3, 10, "repair", STAR_PROD)
         assert len(calls) == 10 * 9 * 8 // 2
@@ -526,6 +631,8 @@ class TestClosureCertificate:
         ids=["fresh-min", "prod-11"],
     )
     def test_guard_false_draws_pay_for_the_scan(self, monkeypatch, n, star, scan):
+        # as above, the event check passes no triple of the pass or the scan
+        monkeypatch.setattr(spaces, "_events_below", lambda F, G, H, fn: False)
         calls = counted_star_calls(monkeypatch)
         gen_space(3, n, "repair", star)
         assert len(calls) == n * (n - 1) * (n - 2) // 2 + scan

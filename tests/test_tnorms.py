@@ -4,7 +4,7 @@ validators."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from pmspace import (
@@ -33,7 +33,7 @@ from pmspace import (
 )
 from pmspace.errors import EmptyFamily, PreconditionViolated, ValidationError
 from pmspace.cdf import is_canonical
-from pmspace.tnorms import tnorm_axiom_failures
+from pmspace.tnorms import BUILTIN_TNORMS, tnorm_axiom_failures
 
 from oracles import convolution_probes, grid_convolution_bounds
 from strategies import cdfs, dyadic_cdfs
@@ -53,6 +53,22 @@ class TestTNormEval:
 
     def test_lukasiewicz_clips(self):
         assert LUKASIEWICZ.fn(0.3, 0.4) == 0.0
+
+    UNIT_VALUES = st.one_of(st.floats(0, 1), st.integers(0, 64).map(lambda k: k / 64))
+
+    @pytest.mark.parametrize("name", BUILTIN_TNORMS)
+    @given(UNIT_VALUES, UNIT_VALUES)
+    @example(0.1, 1.0)
+    def test_below_min_within_half_an_ulp_of_one(self, name, v, w):
+        # the row bound of spaces._events_below
+        assert BUILTIN_TNORMS[name].fn(v, w) <= min(v, w) + 2**-53
+
+    def test_rounded_lukasiewicz_sum_exceeds_min(self):
+        # why the row bound needs its 2**-53: fl(0.1 + 1.0) rounds up, and
+        # subtracting 1 is exact (Sterbenz); today's _lukasiewicz(0.1, 1.0)
+        # is this value, the exact form of ROADMAP item 2 gives 0.1
+        assert (0.1 + 1.0) - 1.0 == 0.10000000000000009 > 0.1
+        assert LUKASIEWICZ.fn(0.1, 1.0) in (0.1, 0.10000000000000009)
 
     @pytest.mark.parametrize("T", ALL_TNORMS)
     def test_builtin_grid_axioms(self, T):
