@@ -480,6 +480,15 @@ class TestEventCheck:
                 gen_space(seed, n, "repair", star)
         assert len(closed) == 90
 
+    def test_closure_stops_checking_where_sums_may_round(self, monkeypatch):
+        # raising (0, 2) puts a breakpoint at 2^52, past which sums of two
+        # integers may round: (0, 1) through 2 then calls the star unchecked
+        D = StepCdf(((2.0**51, 0.5),))
+        m = [[H0, D, StepCdf()], [D, H0, D], [StepCdf(), D, H0]]
+        calls = counted_star_calls(monkeypatch)
+        spaces._close_triangle(m, STAR_PROD)
+        assert len(calls) == 2 and m[0][2] == StepCdf(((2.0**52, 0.25),))
+
     @pytest.mark.parametrize("star, pinned", [(STAR_PROD, 150), (STAR_LUKA, 100)], ids=["prod", "luka"])
     def test_closure_star_calls(self, monkeypatch, star, pinned):
         # 360 without the check (TestClosureCertificate)
