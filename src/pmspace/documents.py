@@ -6,12 +6,19 @@ separators, shortest round-trip float repr: serializing equal values is
 byte-identical across runs, and parse(serialize(x)) reproduces x canonically.
 All embedded step functions are canonicalized on load and spaces are
 re-validated against the axioms.
+
+A space document stores both halves of its symmetric matrix.  The reader
+parses ``dist[i][j]`` for j < i only when it differs from ``dist[j][i]``,
+number type and sign of zero included; otherwise the mirrored entries
+share one cdf, which validation's symmetry check passes by identity.
+Halves that differ are both parsed, and validation decides as before.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import copysign
 from typing import Any
 
 from .cdf import StepCdf, make_step_cdf
@@ -30,21 +37,38 @@ class Document:
     meta: dict
 
 
-def _cdf_to_json(F: StepCdf) -> list:
-    return [[t, v] for t, v in F.breaks]
+def _cdf_to_json(F: StepCdf) -> tuple:
+    # the JSON encoder writes tuples as arrays
+    return F.breaks
 
 
-def _is_number(x) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# exact types: JSON true/false load as bool, which is a subclass of int
+_NUMBERS = (int, float)
 
 
 def _cdf_from_json(obj, where: str) -> StepCdf:
-    if not isinstance(obj, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p) for p in obj
-    ):
-        raise ParseError(f"{where}: expected a list of [breakpoint, value] pairs")
-    return make_step_cdf(obj)
+    if type(obj) is list:
+        for p in obj:
+            if type(p) is not list or len(p) != 2 or type(p[0]) not in _NUMBERS or type(p[1]) not in _NUMBERS:
+                break
+        else:
+            return make_step_cdf(obj)
+    raise ParseError(f"{where}: expected a list of [breakpoint, value] pairs")
+
+
+def _mirrors(entry, parsed) -> bool:
+    """True when ``entry`` holds the numbers of ``parsed``, an entry that
+    already parsed, type for type and sign for sign.  ``==`` alone is not
+    enough: True == 1 would skip a ParseError, and -0.0 == 0.0 would change
+    the re-serialized document."""
+    if entry != parsed:
+        return False
+    for (t, v), (s, w) in zip(entry, parsed):
+        if type(t) is not type(s) or type(v) is not type(w):
+            return False
+        if t == 0 and copysign(1.0, t) != copysign(1.0, s):
+            return False
+    return True
 
 
 def _values_from_json(obj, where: str) -> dict:
@@ -95,7 +119,12 @@ def parse_document(text: str, tnorm_override: str | None = None) -> Document:
         for i, row in enumerate(dist):
             if not isinstance(row, list):
                 raise ParseError(f"dist[{i}] is not a list")
-            matrix.append([_cdf_from_json(entry, f"dist[{i}][{j}]") for j, entry in enumerate(row)])
+            # an earlier row j parsed whole, so matrix[j] is as long as dist[j]
+            matrix.append([
+                matrix[j][i] if j < i < len(dist[j]) and _mirrors(entry, dist[j][i])
+                else _cdf_from_json(entry, f"dist[{i}][{j}]")
+                for j, entry in enumerate(row)
+            ])
         payload = make_space([str(p) for p in points], matrix, BUILTIN_STARS[name])
     elif kind == "map":
         payload = _values_from_json(obj.get("values"), "values")
@@ -113,7 +142,7 @@ def _report_from_json(obj: dict) -> dict:
     report: dict = {}
     for key in ("eps", "pairwise_dinf"):
         if key in obj:
-            if not _is_number(obj[key]):
+            if type(obj[key]) not in _NUMBERS:
                 raise ParseError(f"report field {key!r} must be a number")
             try:
                 report[key] = float(obj[key])

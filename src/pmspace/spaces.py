@@ -375,7 +375,7 @@ def validate_space_matrix(
                 raise IdentityViolation(
                     f"distinct points {p!r}, {q!r} at the unit step at 0", witness=(p, q)
                 )
-            if i < j and not approx_equal(matrix[i][j], matrix[j][i]):
+            if i < j and not (matrix[i][j] is matrix[j][i] or approx_equal(matrix[i][j], matrix[j][i])):
                 raise SymmetryViolation(f"distance between {p!r} and {q!r} is asymmetric", witness=(p, q))
     failure = _triangle_failure(matrix, star, 0)
     if failure is not None:
