@@ -38,6 +38,11 @@ The modulus sampler is the library's earlier equicontinuity estimate, kept
 as a cross-check for the theorem that the modulus is exactly eta = eps for
 every t-norm T >= W: it halves eta from eps until a budget of sampled
 perturbations passes.
+
+The entrywise matrix reader is the library's earlier space-document reader,
+kept as a cross-check for mirror reuse: it type-checks every entry of
+``dist`` with nested generators and parses all n^2 of them, so validation
+compares both halves of every pair.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from pmspace import (
 from pmspace.errors import (
     DomainMismatch,
     IdentityViolation,
+    ParseError,
     PreconditionViolated,
     ProbeOutOfRange,
     SpaceAxiomViolation,
@@ -354,6 +360,30 @@ def full_triangle_scan(points, matrix, star) -> tuple | None:
     except (DomainMismatch, SpaceAxiomViolation) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
     return None
+
+
+def _is_number(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _entrywise_cdf(obj, where: str) -> StepCdf:
+    if not isinstance(obj, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p) for p in obj
+    ):
+        raise ParseError(f"{where}: expected a list of [breakpoint, value] pairs")
+    return make_step_cdf(obj)
+
+
+def entrywise_space_matrix(dist: list) -> list[list[StepCdf]]:
+    """The matrix of a space document's ``dist`` list, every entry parsed on
+    its own; raises the reader's ParseError or ValidationError."""
+    matrix = []
+    for i, row in enumerate(dist):
+        if not isinstance(row, list):
+            raise ParseError(f"dist[{i}] is not a list")
+        matrix.append([_entrywise_cdf(entry, f"dist[{i}][{j}]") for j, entry in enumerate(row)])
+    return matrix
 
 
 def pairwise_lipschitz_scan(space, f) -> LipschitzCheck:
