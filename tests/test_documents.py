@@ -148,8 +148,8 @@ class TestRoundTrip:
         assert serialize_document(parse_document(text)) == text
 
 
-def space_text(seed, n, model="metric", star=BUILTIN_STARS["min"]):
-    return serialize_document(Document("space", gen_space(seed, n, model, star), {"version": VERSION}))
+def space_text(*args):
+    return serialize_document(Document("space", gen_space(*args), {"version": VERSION}))
 
 
 def outcome(read, text):
