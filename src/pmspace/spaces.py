@@ -168,24 +168,6 @@ def _exact_closure(matrix: Sequence[Sequence[StepCdf]], star: TriangleFunction) 
     return grid is not None and _exact_on_grid(grid, 2 * (n - 1), n - 1, star.tnorm)
 
 
-def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> bool:
-    """True when :func:`_triangle_failure` may skip triples: a built-in star,
-    an exact H0 diagonal, an exactly symmetric square, and canonical entries
-    in the scanned columns ``k >= max(k0, i + 1)``: the level guard reads
-    the upper triangle, and a map column's scan reads both halves."""
-    if not _is_builtin(star):
-        return False
-    n = len(m)
-    for i in range(n):
-        if m[i][i] != H0:
-            return False
-        for k in range(i + 1, len(m[i])):
-            F = m[i][k]
-            if (k < n and F != m[k][i]) or (k >= k0 and not is_canonical(F)):
-                return False
-    return True
-
-
 def _quantile_table(m: Sequence[Sequence[StepCdf]]) -> tuple[list[float], list[list[list[float]]]]:
     """The levels of m, its distinct values ascending, and the table
     ``q[l][i][k]``: the quantile ``Q_v`` of ``m[i][k]`` at ``v = levels[l]``,
@@ -203,46 +185,73 @@ def _quantile_table(m: Sequence[Sequence[StepCdf]]) -> tuple[list[float], list[l
     return levels, q
 
 
-def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> list | None:
-    """The quantile table on whose levels :func:`_metric_failure` decides the
-    triangle scan of a prunable m exactly, or None where it would not.
+def _scan_plan(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> tuple:
+    """How :func:`_triangle_failure` scans m: ``(prune, q, fn)``, decided in
+    one pass over the upper triangle and the appended columns.
 
-    For T = min, ``tau_min(F, G)(t) >= v`` exactly when
-    ``t > Q_v(F) + Q_v(G)`` (Schweizer & Sklar, ch. 7), so a triple fails
-    exactly when ``Q_v[i][j] + Q_v[j][k] < Q_v[i][k]`` at some level v.  In
-    floating point that holds in two cases:
+    prune holds for a built-in star, an exact H0 diagonal, an exactly
+    symmetric square, and canonical entries in the columns from k0 on.  The
+    scan then visits only ``k > i`` with j not in ``{i, k}``: n(n-1)(n-2)/2
+    star calls, not n^3, for a space and n(n-1), not n^2, for a map.  The
+    skipped triples cannot fail: ``star(H0, F)`` reproduces a canonical F
+    (within one rounding under Lukasiewicz), H0 bounds everything, and for
+    k < i in the square ``(k, j, i)`` computes bit for bit the same check,
+    so the first failure of the full scan is kept.  As the square is then
+    exactly symmetric with an H0 diagonal, the entries this pass reads hold
+    every entry and every breakpoint of a pruned triple, in a space's scan
+    and a map column's alike.  Unpruned, q and fn are None.
+
+    q is the quantile table (:func:`_quantile_table`) on whose levels
+    :func:`_metric_failure` decides the pruned scan exactly, or None.  For
+    T = min, ``tau_min(F, G)(t) >= v`` exactly when ``t > Q_v(F) + Q_v(G)``
+    (Schweizer & Sklar, ch. 7), so a triple fails exactly when
+    ``Q_v[i][j] + Q_v[j][k] < Q_v[i][k]`` at some level v.  In floating
+    point that holds in two cases:
 
     - one level, every entry a unit step H(d), as lifted classical metrics
       and maps are, under any built-in star: T(1, 1) = 1 for every t-norm,
       so ``star(H(a), H(b))`` is H(fl(a + b)), or empty when the sum
       overflows, and ``H(s) <= H(c)`` fails exactly when s < c.  The table
       holds ``Q_1``, the locations d;
-    - several levels under STAR_MIN, when :func:`_exact_scan` holds: the
-      star, ``_envelope`` and ``leq`` then compute in real arithmetic, as
-      values stay on their grid under min.  A space's scan and a map
-      column's take it alike.
+    - several levels under STAR_MIN, when the entries read hold
+      :func:`_exact_sums` for pairs: the star, ``_envelope`` and ``leq``
+      then compute in real arithmetic, as values stay on their grid under
+      min.
+
+    fn is the t-norm of :func:`_events_below` under product and Lukasiewicz
+    where that guard holds, or None.  The check runs before each pruned
+    star call, and a triple it passes cannot fail, so the scan goes on
+    without the call.  A triple it does not pass is decided by the star call
+    as before, so the verdict, the first failing triple and its witness are
+    unchanged.  On a grid of values coarser than TOL (:func:`_exact_on_grid`
+    for pairs) it passes every triple that holds, and a valid matrix makes
+    no call.
     """
-    if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in m for F in row):
-        return [[[F.breaks[0][0] for F in row] for row in m]]
-    if star is not STAR_MIN or not _exact_scan(m):
-        return None
-    return _quantile_table(m)[1]
-
-
-def _exact_scan(m: Sequence[Sequence[StepCdf]]) -> bool:
-    """The guard of the level path under min and of :func:`_events_below`
-    under product and Lukasiewicz: :func:`_exact_sums` for pairs, read on
-    the upper triangle and the appended columns, as in
-    :func:`_exact_closure`.  A prunable square is exactly symmetric with an
-    H0 diagonal, so these hold every breakpoint that a pruned triple adds."""
-    grid = _exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
-    return grid is not None and _exact_sums(grid, 2)
+    if not _is_builtin(star):
+        return False, None, None
+    n, read = len(m), []
+    for i, row in enumerate(m):
+        if row[i] != H0:
+            return False, None, None
+        for k in range(i + 1, len(row)):
+            F = row[k]
+            if (k < n and F != m[k][i]) or (k >= k0 and not is_canonical(F)):
+                return False, None, None
+            read.append(F)
+    if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for F in read):
+        return True, [[[F.breaks[0][0] for F in row] for row in m]], None
+    grid = _exact_grid(read)
+    if grid is None or not _exact_sums(grid, 2):
+        return True, None, None
+    if star is STAR_MIN:
+        return True, _quantile_table(m)[1], None
+    return True, None, star.tnorm.fn
 
 
 def _events_below(F: StepCdf, G: StepCdf, H: StepCdf, fn) -> bool:
     """True only when every jump pair (a, v) of F and (b, w) of G has
     ``fn(v, w) <= value_after(H, a + b) + TOL``: one forward walk into H per
-    row of the pairs, with no sort and no :func:`_envelope`.
+    row of the pairs, with no sort and no :func:`cdf._envelope`.
 
     The star is the running maximum of these events (Schweizer & Sklar,
     ch. 7), so where its sums are exact and distinct ones lie more than TOL
@@ -303,38 +312,23 @@ def _triangle_failure(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0
     on.  Validation scans k0 = 0.  The Lipschitz certificate appends f as
     column n, a point * with ``D(x, *) = f(x)``, and scans k0 = n.
 
-    When :func:`_prunable` holds, only ``k > i`` with j not in ``{i, k}`` is
-    visited: n(n-1)(n-2)/2 star calls, not n^3, for a space and n(n-1), not
-    n^2, for a map.  The skipped triples cannot fail: ``star(H0, F)``
-    reproduces a canonical F (within one rounding under Lukasiewicz), H0
-    bounds everything, and for k < i in the square ``(k, j, i)`` computes bit
-    for bit the same check, so the first failure of the full scan is kept.
-
-    Where :func:`_level_table` holds, for spaces and maps alike, the pruned
-    triples are decided on quantiles with float sums: :func:`_metric_failure`
-    on each level, and the first failing triple is the lexicographically
-    smallest over levels, since the scan order is lexicographic.  Its
-    witness t comes from one star call, so a valid matrix makes none.
-
-    Elsewhere, under product and Lukasiewicz where :func:`_exact_scan`
-    holds, :func:`_events_below` runs before each pruned star call and a
-    triple it passes cannot fail, so the scan goes on without the call.  A
-    triple it does not pass is decided by the star call as before, so the
-    verdict, the first failing triple and its witness are unchanged.  On a
-    grid of values coarser than TOL (:func:`_exact_on_grid` for pairs) it
-    passes every triple that holds, and a valid matrix makes no call.
+    The plan is :func:`_scan_plan`'s.  Pruned, only ``k > i`` with j not in
+    ``{i, k}`` is visited.  With a level table, the pruned triples are
+    decided on quantiles with float sums: :func:`_metric_failure` on each
+    level, and the first failing triple is the lexicographically smallest
+    over levels, since the scan order is lexicographic.  Its witness t comes
+    from one star call, so a valid matrix makes none.  Otherwise, with an
+    event-check t-norm, :func:`_events_below` runs before each pruned star
+    call and the scan skips the call for a triple it passes.
     """
     n = len(m)
-    prune = _prunable(m, star, k0)
-    q = _level_table(m, star) if prune else None
+    prune, q, fn = _scan_plan(m, star, k0)
     if q is not None:
         failure = min(filter(None, (_metric_failure(d, k0) for d in q)), default=None)
         if failure is None:
             return None
         i, j, k = failure
         return i, j, k, leq_witness(star(m[i][j], m[j][k]), m[i][k])
-    # under min the level path has read the guard already
-    fn = star.tnorm.fn if prune and star is not STAR_MIN and _exact_scan(m) else None
     for i in range(n):
         row_i = m[i]
         ks = range(max(k0, i + 1) if prune else k0, len(row_i))

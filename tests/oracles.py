@@ -25,6 +25,11 @@ The full triangle scan is the library's earlier space validator, kept as a
 cross-check for the pruned scan: it checks every one of the n^3 triples in
 lexicographic order, whatever the star and the matrix.
 
+The scan-plan helpers are the library's earlier way of choosing a triangle
+scan's path, kept as a cross-check for the one-pass plan: ``_prunable``,
+``_level_table`` and ``_exact_scan`` each walk the matrix again, and
+``composed_scan_plan`` composes them as the scan did.
+
 The pairwise Lipschitz scan is the library's earlier map certificate, kept
 as a cross-check for the triangle scan with the map as an added column: it
 checks every ordered pair (x, y) in point order, whatever the star and the
@@ -81,6 +86,9 @@ from pmspace.errors import (
     TriangleViolation,
     ValidationError,
 )
+from pmspace.cdf import is_canonical
+from pmspace.spaces import _exact_grid, _exact_sums, _is_builtin, _quantile_table
+from pmspace.tnorms import STAR_MIN, TriangleFunction
 
 
 def np_eval(F: StepCdf, pts: np.ndarray) -> np.ndarray:
@@ -360,6 +368,69 @@ def full_triangle_scan(points, matrix, star) -> tuple | None:
     except (DomainMismatch, SpaceAxiomViolation) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
     return None
+
+
+def _prunable(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> bool:
+    """True when :func:`_triangle_failure` may skip triples: a built-in star,
+    an exact H0 diagonal, an exactly symmetric square, and canonical entries
+    in the scanned columns ``k >= max(k0, i + 1)``: the level guard reads
+    the upper triangle, and a map column's scan reads both halves."""
+    if not _is_builtin(star):
+        return False
+    n = len(m)
+    for i in range(n):
+        if m[i][i] != H0:
+            return False
+        for k in range(i + 1, len(m[i])):
+            F = m[i][k]
+            if (k < n and F != m[k][i]) or (k >= k0 and not is_canonical(F)):
+                return False
+    return True
+
+
+def _level_table(m: Sequence[Sequence[StepCdf]], star: TriangleFunction) -> list | None:
+    """The quantile table on whose levels :func:`_metric_failure` decides the
+    triangle scan of a prunable m exactly, or None where it would not.
+
+    For T = min, ``tau_min(F, G)(t) >= v`` exactly when
+    ``t > Q_v(F) + Q_v(G)`` (Schweizer & Sklar, ch. 7), so a triple fails
+    exactly when ``Q_v[i][j] + Q_v[j][k] < Q_v[i][k]`` at some level v.  In
+    floating point that holds in two cases:
+
+    - one level, every entry a unit step H(d), as lifted classical metrics
+      and maps are, under any built-in star: T(1, 1) = 1 for every t-norm,
+      so ``star(H(a), H(b))`` is H(fl(a + b)), or empty when the sum
+      overflows, and ``H(s) <= H(c)`` fails exactly when s < c.  The table
+      holds ``Q_1``, the locations d;
+    - several levels under STAR_MIN, when :func:`_exact_scan` holds: the
+      star, ``_envelope`` and ``leq`` then compute in real arithmetic, as
+      values stay on their grid under min.  A space's scan and a map
+      column's take it alike.
+    """
+    if all(len(F.breaks) == 1 and F.breaks[0][1] == 1.0 for row in m for F in row):
+        return [[[F.breaks[0][0] for F in row] for row in m]]
+    if star is not STAR_MIN or not _exact_scan(m):
+        return None
+    return _quantile_table(m)[1]
+
+
+def _exact_scan(m: Sequence[Sequence[StepCdf]]) -> bool:
+    """The guard of the level path under min and of :func:`_events_below`
+    under product and Lukasiewicz: :func:`_exact_sums` for pairs, read on
+    the upper triangle and the appended columns, as in
+    :func:`_exact_closure`.  A prunable square is exactly symmetric with an
+    H0 diagonal, so these hold every breakpoint that a pruned triple adds."""
+    grid = _exact_grid(F for i, row in enumerate(m) for F in row[i + 1 :])
+    return grid is not None and _exact_sums(grid, 2)
+
+
+def composed_scan_plan(m: Sequence[Sequence[StepCdf]], star: TriangleFunction, k0: int) -> tuple:
+    """``(prune, q, fn)`` as the triangle scan composed them from the three
+    helpers above: fn only where no level table decides the scan."""
+    prune = _prunable(m, star, k0)
+    q = _level_table(m, star) if prune else None
+    fn = star.tnorm.fn if prune and q is None and star is not STAR_MIN and _exact_scan(m) else None
+    return prune, q, fn
 
 
 def _is_number(x) -> bool:

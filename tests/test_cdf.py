@@ -272,7 +272,7 @@ class TestQuantize:
         strict=True,
         raises=AssertionError,
         reason="below 2*TOL snapped breakpoints chain within TOL onto the first, so a jump moves "
-        "left by up to TOL + delta per merged breakpoint (ROADMAP item 2)",
+        "left by up to TOL + delta per merged breakpoint (ROADMAP item 5)",
     )
     def test_below_when_snapped_breakpoints_chain(self):
         # 60 jumps 1.01e-12 apart; leq_witness reports 0.50000000000303

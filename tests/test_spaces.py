@@ -28,6 +28,7 @@ from pmspace import (
     make_space,
     make_step_cdf,
     parse_document,
+    random_lipschitz_map,
     random_step_cdf,
     serialize_document,
     strong_neighborhood,
@@ -48,7 +49,7 @@ from pmspace.cli import run_command
 from pmspace.spaces import validate_space_matrix
 from pmspace.tnorms import LUKASIEWICZ, MINIMUM, PRODUCT, TriangleFunction, custom_tnorm, star_from_tnorm
 
-from oracles import full_triangle_scan, sweep_relax_to_triangle
+from oracles import composed_scan_plan, full_triangle_scan, sweep_relax_to_triangle
 from strategies import cdfs, dyadic_cdfs
 
 
@@ -350,7 +351,7 @@ class TestLevelScan:
         D12 = StepCdf(((0.5, 1.0),))
         labels = ("a", "b", "c")
         m = [[H0, D01, D02], [D01, H0, D12], [D02, D12, H0]]
-        q = spaces._level_table(m, STAR_MIN)
+        q = spaces._scan_plan(m, STAR_MIN, 0)[1]
         assert [spaces._metric_failure(d, 0) for d in q] == [(1, 0, 2), (0, 1, 2)]
         want = full_triangle_scan(labels, m, STAR_MIN)
         assert want is not None and want[2] == ("a", "b", "c", 1.0)
@@ -495,6 +496,81 @@ class TestEventCheck:
         calls = counted_star_calls(monkeypatch)
         gen_space(3, 10, "repair", star)
         assert len(calls) == pinned
+
+
+class TestScanPlan:
+    """spaces._scan_plan decides each triangle scan's path in one pass; it
+    must give the plan the earlier helpers composed, and each kind of input
+    its own plan."""
+
+    @staticmethod
+    def squares(sp, rng):
+        """sp's matrix, its shifted copy, its breakpoints scaled so that sums
+        of two just leave the exact range, and for n > 1 copies with: a pair
+        lowered, one breakpoint moved by an ulp in one half only, a
+        non-canonical pair, and a diagonal entry off H0."""
+        n = len(sp)
+        cases = [sp.matrix, shifted(sp).matrix]
+        top = max((t for row in sp.matrix for F in row for t, _ in F.breaks), default=0.0)
+        if top > 0.0:
+            scale = 2.0 ** (52 - math.floor(math.log2(top)))  # top * scale in [2^52, 2^53)
+            cases.append([[StepCdf(tuple((t * scale, v) for t, v in F.breaks)) for F in row] for row in sp.matrix])
+        if n > 1:
+            cases.append(lowered(rng, sp.matrix))
+            i, k = rng.choice([(i, k) for i in range(n) for k in range(n) if i != k and sp.matrix[i][k].breaks])
+            ulp, odd, diag = ([list(row) for row in sp.matrix] for _ in range(3))
+            (t, v), *rest = ulp[i][k].breaks
+            ulp[i][k] = StepCdf(((math.nextafter(t, math.inf), v), *rest))
+            odd[i][k] = odd[k][i] = StepCdf(((1.0, 0.5), (1.0 + 1e-13, 0.9)))  # jumps chain within TOL
+            diag[i][i] = heaviside(1e-13)
+            cases += [ulp, odd, diag]
+        return cases
+
+    @staticmethod
+    def columns(sp, rng):
+        """Map columns: the distances to a point, a random certified map's
+        values, and those values with one non-canonical entry."""
+        n = len(sp)
+        f = random_lipschitz_map(sp, rng)
+        values = [f[x] for x in sp.points]
+        bad = list(values)
+        bad[rng.randrange(n)] = StepCdf(((1.0, 0.5), (1.0 + 1e-13, 0.9)))  # jumps chain within TOL
+        return [[row[rng.randrange(n)] for row in sp.matrix], values, bad]
+
+    def test_matches_the_composed_helpers(self):
+        rng = random.Random("scan-plan")
+        kinds = Counter()
+        for star in [STAR_MIN, STAR_PROD, STAR_LUKA, star_from_tnorm(MINIMUM)]:
+            for model in ("metric", "repair"):
+                for n in (1, 2, 5, 8):
+                    for seed in range(3):
+                        sp = gen_space(seed, n, model, star)
+                        cases = [(m, 0) for m in self.squares(sp, rng)]
+                        cases += [
+                            ([(*row, F) for row, F in zip(m, col)], n)
+                            for m, _ in list(cases)
+                            for col in self.columns(sp, rng)
+                        ]
+                        for m, k0 in cases:
+                            prune, q, fn = spaces._scan_plan(m, star, k0)
+                            want = composed_scan_plan(m, star, k0)
+                            assert (prune, q) == want[:2] and fn is want[2]
+                            kinds[(prune, q is not None and len(q) > 1, q is not None, fn is not None)] += 1
+        # unpruned, one level, several levels, event check, pruned star scan
+        assert len(kinds) == 5 and min(kinds.values()) >= 40
+
+    @pytest.mark.parametrize("star", [STAR_MIN, STAR_PROD, STAR_LUKA], ids=["min", "prod", "luka"])
+    def test_plan_per_input(self, star):
+        metric, repair = gen_space(3, 10, "metric", star), gen_space(3, 10, "repair", star)
+        prune, q, fn = spaces._scan_plan(metric.matrix, star, 0)
+        assert prune and len(q) == 1 and fn is None
+        prune, q, fn = spaces._scan_plan(repair.matrix, star, 0)
+        if star is STAR_MIN:
+            assert prune and len(q) > 1 and fn is None
+        else:
+            assert prune and q is None and fn is star.tnorm.fn
+        assert spaces._scan_plan(shifted(repair).matrix, star, 0) == (True, None, None)
+        assert spaces._scan_plan(repair.matrix, star_from_tnorm(star.tnorm), 0) == (False, None, None)
 
 
 class TestTriangleClosure:

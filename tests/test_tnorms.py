@@ -66,7 +66,7 @@ class TestTNormEval:
     def test_rounded_lukasiewicz_sum_exceeds_min(self):
         # why the row bound needs its 2**-53: fl(0.1 + 1.0) rounds up, and
         # subtracting 1 is exact (Sterbenz); today's _lukasiewicz(0.1, 1.0)
-        # is this value, the exact form of ROADMAP item 2 gives 0.1
+        # is this value, the exact form of ROADMAP item 5 gives 0.1
         assert (0.1 + 1.0) - 1.0 == 0.10000000000000009 > 0.1
         assert LUKASIEWICZ.fn(0.1, 1.0) in (0.1, 0.10000000000000009)
 
